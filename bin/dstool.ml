@@ -7,7 +7,6 @@
 open Dependable_storage
 open Cmdliner
 module E = Experiments
-module Likelihood = Failure.Likelihood
 module Design_solver = Solver.Design_solver
 module Candidate = Solver.Candidate
 
@@ -17,20 +16,18 @@ let fmt = Format.std_formatter
 (* Shared options                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let env_conv =
-  let parse = function
-    | "peer" -> Ok `Peer
-    | "quad" -> Ok `Quad
-    | s -> Error (`Msg (Printf.sprintf "unknown environment %S (peer|quad)" s))
-  in
-  let print ppf = function
-    | `Peer -> Format.pp_print_string ppf "peer"
-    | `Quad -> Format.pp_print_string ppf "quad"
-  in
-  Arg.conv (parse, print)
+(* Request errors end a command with [dstool: <message>] and the
+   ordinary error exit (124): the message is the one [dstool serve]
+   answers the same input with. *)
+let ( let* ) r f =
+  match r with
+  | Ok v -> f v
+  | Error e -> `Error (false, E.Request.error_message e)
+
+let exit_with = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
 
 let env_term =
-  Arg.(value & opt env_conv `Peer
+  Arg.(value & opt string "peer"
        & info [ "env" ] ~docv:"ENV"
            ~doc:"Environment: $(b,peer) (two peer sites, Section 4.3) or \
                  $(b,quad) (four fully connected sites, Sections 4.4-4.5).")
@@ -93,29 +90,12 @@ let no_cache_term =
                  design either way); disabling it only makes the search \
                  slower. Useful for debugging and perf comparisons.")
 
-let apply_cache no_cache (budget : E.Budgets.t) =
-  if no_cache then
-    { budget with
-      E.Budgets.solver =
-        { budget.E.Budgets.solver with Design_solver.config_cache_size = 0 } }
-  else budget
-
 (* Like the memo cache, the Exec pool is result-transparent: every
    consumer pre-splits RNG streams in task order and merges results in
    task order, so the domain count only changes wall time (DESIGN.md
    §10). *)
-let domains_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-      Error
-        (`Msg (Printf.sprintf "expected a positive domain count, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let domains_term =
-  Arg.(value & opt domains_conv 1
+  Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"N"
            ~doc:"Run the command's parallelizable work — refit probe \
                  walks, simulated years, experiment sweep points — on N \
@@ -124,13 +104,13 @@ let domains_term =
                  only wall time changes. Counts above the task count are \
                  clamped to it.")
 
-let apply_domains = Fun.flip E.Budgets.with_domains
-
 (* Portfolio knobs (solve and compare): --restarts turns the run into a
-   multi-start portfolio (Search.run); --race and --budget-evals shape
-   it. Like --domains, --race never changes the returned winner. *)
+   multi-start portfolio (the Search meta-solver); --race and
+   --budget-evals shape it. Unlike --domains, --race can change the
+   winner: its bound is a heuristic that kept the winner on ~90% of
+   seeds (DESIGN.md §11). *)
 let restarts_term =
-  Arg.(value & opt domains_conv 1
+  Arg.(value & opt int 1
        & info [ "restarts" ] ~docv:"N"
            ~doc:"Run N independent design-solver restarts from pre-split \
                  RNG streams (a portfolio; default 1 = a single run) and \
@@ -143,11 +123,13 @@ let race_term =
   Arg.(value & flag
        & info [ "race" ]
            ~doc:"Let portfolio restarts abandon refit rounds they can no \
-                 longer win (lower bound: current cost minus the largest \
-                 improvement observed so far, against the best cost \
-                 already published). The returned winner is identical \
-                 with racing on or off; raced restarts just stop \
-                 sooner.")
+                 longer win (estimated bound: current cost minus the \
+                 largest improvement observed so far, against the best \
+                 cost already published). Raced restarts stop sooner, but \
+                 the bound is a heuristic: a restart that would have \
+                 improved by more than anything seen so far is cut off, so \
+                 the winner can differ from a run without racing (it was \
+                 kept on about 90% of seeds tested).")
 
 let budget_evals_term =
   Arg.(value & opt (some int) None
@@ -160,10 +142,6 @@ let budget_evals_term =
 let portfolio_terms =
   Term.(const (fun restarts race evals -> (restarts, race, evals))
         $ restarts_term $ race_term $ budget_evals_term)
-
-let apply_portfolio (restarts, race, evals) budget =
-  if restarts = 1 && (not race) && evals = None then budget
-  else E.Budgets.with_portfolio ~race ?max_evaluations:evals budget restarts
 
 let obs_of (trace, metrics, progress, profile) =
   (* --profile needs both the registry (pool/lock accounting) and the
@@ -238,48 +216,47 @@ let report_obs (trace, metrics, progress, profile) obs =
   | [] -> Ok ()
   | errors -> Error (String.concat "; " errors)
 
-let budget_conv =
-  let parse = function
-    | "quick" -> Ok E.Budgets.quick
-    | "default" -> Ok E.Budgets.default
-    | s -> Error (`Msg (Printf.sprintf "unknown budget %S (quick|default)" s))
-  in
-  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<budget>")
-
-let budget_term =
-  Arg.(value & opt budget_conv E.Budgets.default
+let base_budget_term =
+  Arg.(value & opt string "default"
        & info [ "budget" ] ~docv:"BUDGET"
            ~doc:"Iteration budget: $(b,quick) or $(b,default).")
 
-let rate_term name doc =
-  Arg.(value & opt (some float) None & info [ name ] ~docv:"PER_YEAR" ~doc)
+(* The problem and budget are checked as terms: a bad value fails
+   before the command runs, like a bad flag. *)
+let checked term =
+  Term.term_result'
+    Term.(const (Result.map_error E.Request.error_message) $ term)
+
+let budget_term ?(cache = false) ?(portfolio = false) () =
+  let budget name seed no_cache domains (restarts, race, max_evaluations) =
+    E.Request.budget ~restarts ~race ?max_evaluations ~domains
+      ~config_cache:(not no_cache) ~seed name
+  in
+  checked
+    Term.(
+      const budget $ base_budget_term $ seed_term
+      $ (if cache then no_cache_term else const false)
+      $ domains_term
+      $ if portfolio then portfolio_terms else const (1, false, None))
 
 let likelihood_term =
-  let combine obj arr site =
-    let d = Likelihood.default in
-    Likelihood.v
-      ~data_object_per_year:
-        (Option.value ~default:d.Likelihood.data_object_per_year obj)
-      ~array_per_year:(Option.value ~default:d.Likelihood.array_per_year arr)
-      ~site_per_year:(Option.value ~default:d.Likelihood.site_per_year site)
+  let rate name doc =
+    Arg.(value & opt (some float) None & info [ name ] ~docv:"PER_YEAR" ~doc)
   in
-  Term.(const combine
-        $ rate_term "object-rate" "Data-object failures per year (default 1/3)."
-        $ rate_term "array-rate" "Disk-array failures per year (default 1/3)."
-        $ rate_term "site-rate" "Site disasters per year (default 1/5).")
+  let likelihood object_rate array_rate site_rate =
+    E.Request.likelihood ?object_rate ?array_rate ?site_rate ()
+  in
+  checked
+    Term.(
+      const likelihood
+      $ rate "object-rate" "Data-object failures per year (default 1/3)."
+      $ rate "array-rate" "Disk-array failures per year (default 1/3)."
+      $ rate "site-rate" "Site disasters per year (default 1/5).")
 
-let resolve_env env apps =
-  match env with
-  | `Peer ->
-    let workloads =
-      match apps with
-      | None -> E.Envs.peer_apps ()
-      | Some n -> Workload.Workload_catalog.mix ~count:n
-    in
-    (E.Envs.peer_sites (), workloads)
-  | `Quad ->
-    let n = Option.value ~default:16 apps in
-    (E.Envs.quad_sites (), Workload.Workload_catalog.mix ~count:n)
+let instance_term =
+  checked
+    Term.(const (fun env apps -> E.Request.instance ?apps env) $ env_term
+          $ apps_term)
 
 (* ------------------------------------------------------------------ *)
 (* catalogs                                                            *)
@@ -324,80 +301,52 @@ let output_term =
                  $(b,dstool audit --design)).")
 
 let solve_cmd =
-  let run env apps seed budget likelihood output no_cache domains portfolio
-      obs_flags =
-    let env, workloads = resolve_env env apps in
-    let budget =
-      apply_portfolio portfolio
-        (apply_domains domains
-           (apply_cache no_cache (E.Budgets.with_seed budget seed)))
-    in
+  let run (env, apps) likelihood budget output obs_flags =
     let obs = obs_of obs_flags in
-    (* A single restart runs the design solver directly; more run the
-       portfolio meta-solver on a pool [--domains] wide (restart 0
-       replays the direct run, so the result can only get cheaper). *)
-    let solved =
-      if budget.E.Budgets.restarts = 1 then
-        Design_solver.solve ~params:budget.E.Budgets.solver ~obs env workloads
-          likelihood
-        |> Option.map (fun o -> (o, None))
-      else
-        let pool = Exec.auto_width (Exec.create ~domains ()) in
-        Search.run ~restarts:budget.E.Budgets.restarts
-          ~race:budget.E.Budgets.race
-          ?max_evaluations:budget.E.Budgets.portfolio_evaluations
-          ~params:budget.E.Budgets.solver ~pool ~obs env workloads likelihood
-        |> Option.map (fun r -> (r.Search.outcome, Some r))
+    let* solved =
+      E.Request.run_solve ~obs
+        { E.Request.env; apps; likelihood; budget; deadline_s = None }
     in
-    match solved with
-    | Some (outcome, portfolio_result) ->
-      let best =
-        match portfolio_result with
-        | None -> outcome.Design_solver.best
-        | Some r -> r.Search.best
-      in
-      print_solution best;
-      Format.fprintf fmt "@.service levels achieved:@.%a" Cost.Slo_report.pp
-        (Cost.Slo_report.of_evaluation best.Candidate.eval);
-      (match portfolio_result with
-       | None ->
-         Format.fprintf fmt
-           "@.search: %d configuration-solver calls, %d refit rounds, refit \
-            %s@."
-           outcome.Design_solver.evaluations
-           outcome.Design_solver.refit_rounds_run
-           (if outcome.Design_solver.improved_by_refit then
-              "improved the greedy design"
-            else "kept the greedy design")
-       | Some r ->
-         Format.fprintf fmt
-           "@.portfolio: winner restart %d of %d run (%d raced off), %d \
-            configuration-solver calls total@."
-           r.Search.winner r.Search.restarts_run r.Search.raced_off
-           r.Search.total_evaluations);
-      let obs_status = report_obs obs_flags obs in
-      let output_status =
-        match output with
-        | None -> Ok ()
-        | Some path ->
-          (match Design.Design_io.write_file path best.Candidate.design with
-           | Ok () ->
-             Format.fprintf fmt "design written to %s@." path;
-             Ok ()
-           | Error msg -> Error msg)
-      in
-      (match obs_status, output_status with
-       | Ok (), Ok () -> `Ok ()
-       | Error msg, _ | _, Error msg -> `Error (false, msg))
-    | None -> `Error (false, "no feasible design found")
+    let best = E.Request.best solved in
+    print_solution best;
+    Format.fprintf fmt "@.service levels achieved:@.%a" Cost.Slo_report.pp
+      (Cost.Slo_report.of_evaluation best.Candidate.eval);
+    (match solved with
+     | E.Request.Single outcome ->
+       Format.fprintf fmt
+         "@.search: %d configuration-solver calls, %d refit rounds, refit \
+          %s@."
+         outcome.Design_solver.evaluations
+         outcome.Design_solver.refit_rounds_run
+         (if outcome.Design_solver.improved_by_refit then
+            "improved the greedy design"
+          else "kept the greedy design")
+     | E.Request.Portfolio r ->
+       Format.fprintf fmt
+         "@.portfolio: winner restart %d of %d run (%d raced off), %d \
+          configuration-solver calls total@."
+         r.Search.winner r.Search.restarts_run r.Search.raced_off
+         r.Search.total_evaluations);
+    let obs_status = report_obs obs_flags obs in
+    let output_status =
+      match output with
+      | None -> Ok ()
+      | Some path ->
+        (match Design.Design_io.write_file path best.Candidate.design with
+         | Ok () ->
+           Format.fprintf fmt "design written to %s@." path;
+           Ok ()
+         | Error msg -> Error msg)
+    in
+    exit_with (Result.bind obs_status (fun () -> output_status))
   in
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Run the automated design tool on an environment and print the \
              chosen data protection design.")
-    Term.(ret (const run $ env_term $ apps_term $ seed_term $ budget_term
-               $ likelihood_term $ output_term $ no_cache_term $ domains_term
-               $ portfolio_terms $ obs_terms))
+    Term.(ret (const run $ instance_term $ likelihood_term
+               $ budget_term ~cache:true ~portfolio:true ()
+               $ output_term $ obs_terms))
 
 (* ------------------------------------------------------------------ *)
 (* audit                                                               *)
@@ -409,8 +358,7 @@ let audit_cmd =
          & info [ "design" ] ~docv:"FILE"
              ~doc:"Design file written by $(b,dstool solve --output).")
   in
-  let run env apps likelihood path =
-    let env, workloads = resolve_env env apps in
+  let run (env, workloads) likelihood path =
     match Design.Design_io.read_file env workloads path with
     | Error msg -> `Error (false, msg)
     | Ok design ->
@@ -442,7 +390,7 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:"Evaluate a saved design: cost, achieved RTO/RPO per \
              application, and the per-scenario recovery log.")
-    Term.(ret (const run $ env_term $ apps_term $ likelihood_term $ design_term))
+    Term.(ret (const run $ instance_term $ likelihood_term $ design_term))
 
 (* ------------------------------------------------------------------ *)
 (* risk                                                                *)
@@ -478,20 +426,8 @@ let risk_cmd =
                    likelihood-ratio reweighting keeps every estimate \
                    unbiased under the nominal rates). Default 8.")
   in
-  let strata_conv =
-    let parse = function
-      | "scope" -> Ok Risk.Tail_sim.By_scope
-      | "none" -> Ok Risk.Tail_sim.Nominal_only
-      | s -> Error (`Msg (Printf.sprintf "unknown strata %S (scope|none)" s))
-    in
-    let print ppf = function
-      | Risk.Tail_sim.By_scope -> Format.pp_print_string ppf "scope"
-      | Risk.Tail_sim.Nominal_only -> Format.pp_print_string ppf "none"
-    in
-    Arg.conv (parse, print)
-  in
   let strata_term =
-    Arg.(value & opt strata_conv Risk.Tail_sim.By_scope
+    Arg.(value & opt string "scope"
          & info [ "strata" ] ~docv:"STRATA"
              ~doc:"Stratification of the tail engine: $(b,scope) (one \
                    tilted stratum per failure-scope class — object, \
@@ -499,74 +435,34 @@ let risk_cmd =
                    default) or $(b,none) (a single untilted stratum, \
                    plain Monte Carlo with unit weights).")
   in
-  let run env apps seed budget likelihood design years sla tilt strategy
-      no_cache domains obs_flags =
-    let env, workloads = resolve_env env apps in
+  let run (env, apps) likelihood budget design years sla tilt strata
+      obs_flags =
     let obs = obs_of obs_flags in
-    let provision =
-      match design with
-      | Some path ->
-        (match Design.Design_io.read_file env workloads path with
-         | Error msg -> Error msg
-         | Ok design ->
-           (match Design.Provision.minimum design with
-            | Ok prov -> Ok prov
-            | Error e ->
-              Error
-                (Format.asprintf "design is infeasible: %a"
-                   Design.Provision.pp_infeasibility e)))
-      | None ->
-        let budget =
-          apply_domains domains
-            (apply_cache no_cache (E.Budgets.with_seed budget seed))
-        in
-        (match
-           Design_solver.solve ~params:budget.E.Budgets.solver ~obs env
-             workloads likelihood
-         with
-         | Some outcome ->
-           Ok outcome.Design_solver.best.Candidate.eval.Cost.Evaluate.provision
-         | None -> Error "no feasible design found")
+    let read path = In_channel.with_open_bin path In_channel.input_all in
+    let* design =
+      try Ok (Option.map read design)
+      with Sys_error msg -> Error (E.Request.Invalid msg)
     in
-    match provision with
-    | Error msg -> `Error (false, msg)
-    | Ok prov ->
-      let rng = Prng.Rng.of_int seed in
-      let pool = Exec.auto_width (Exec.create ~domains ()) in
-      let sim = Risk.Year_sim.simulate ~years ~obs ~pool rng prov likelihood in
-      Format.fprintf fmt "%a@." Risk.Year_sim.pp sim;
-      let analytic = Cost.Penalty.expected_annual prov likelihood in
-      Format.fprintf fmt "analytic expectation: %s@."
-        (Units.Money.to_string
-           (Units.Money.add analytic.Cost.Penalty.outage_total
-              analytic.Cost.Penalty.loss_total));
-      let tail_status =
-        match sla with
-        | None -> Ok ()
-        | Some availability when availability <= 0. || availability >= 1. ->
-          Error
-            (Printf.sprintf "--sla %g: availability must be in (0, 1)"
-               availability)
-        | Some availability ->
-          (* The tail stream splits off the year_sim generator after the
-             naive run: Year_sim pre-splits one stream per chunk, so the
-             parent has advanced by a fixed (years-dependent,
-             pool-independent) amount and the tail sample stays
-             byte-identical at every --domains. *)
-          (match
-             Risk.Tail_sim.simulate ~years ~tilt ~strategy ~obs ~pool
-               (Prng.Rng.split rng) prov likelihood
-           with
-           | exception Invalid_argument msg -> Error msg
-           | tail ->
-             Format.fprintf fmt "@.%a@." Risk.Tail_sim.pp tail;
-             let cert = Risk.Tail_sim.certify tail ~availability in
-             Format.fprintf fmt "@.%a@." Risk.Tail_sim.pp_certification cert;
-             Ok ())
-      in
-      (match tail_status, report_obs obs_flags obs with
-       | Ok (), Ok () -> `Ok ()
-       | Error msg, _ | _, Error msg -> `Error (false, msg))
+    let* report =
+      E.Request.run_risk ~obs
+        { E.Request.solve =
+            { E.Request.env; apps; likelihood; budget; deadline_s = None };
+          design; years; sla; tilt; strata }
+    in
+    Format.fprintf fmt "%a@." Risk.Year_sim.pp report.E.Request.year_sim;
+    let analytic =
+      Cost.Penalty.expected_annual report.E.Request.provision likelihood
+    in
+    Format.fprintf fmt "analytic expectation: %s@."
+      (Units.Money.to_string
+         (Units.Money.add analytic.Cost.Penalty.outage_total
+            analytic.Cost.Penalty.loss_total));
+    Option.iter
+      (fun (tail, cert) ->
+        Format.fprintf fmt "@.%a@." Risk.Tail_sim.pp tail;
+        Format.fprintf fmt "@.%a@." Risk.Tail_sim.pp_certification cert)
+      report.E.Request.tail;
+    exit_with (report_obs obs_flags obs)
   in
   Cmd.v
     (Cmd.info "risk"
@@ -574,10 +470,9 @@ let risk_cmd =
              (tail risk beyond the expected-value objective), plus an \
              importance-sampled rare-event engine that certifies the \
              design against deep availability SLAs ($(b,--sla)).")
-    Term.(ret (const run $ env_term $ apps_term $ seed_term $ budget_term
-               $ likelihood_term $ design_term $ years_term $ sla_term
-               $ tilt_term $ strata_term $ no_cache_term $ domains_term
-               $ obs_terms))
+    Term.(ret (const run $ instance_term $ likelihood_term
+               $ budget_term ~cache:true () $ design_term $ years_term
+               $ sla_term $ tilt_term $ strata_term $ obs_terms))
 
 (* ------------------------------------------------------------------ *)
 (* ablate                                                              *)
@@ -603,8 +498,7 @@ let ablate_cmd =
     Arg.(value & pos 0 which_conv `All
          & info [] ~docv:"WHICH" ~doc:"stages, config, vault, scheduling or all.")
   in
-  let run seed budget which domains =
-    let budgets = apply_domains domains (E.Budgets.with_seed budget seed) in
+  let run budgets which =
     let sections =
       [ (`Stages, "Design-solver stages (peer sites)",
          fun () -> E.Ablation.solver_stages ~budgets ());
@@ -628,7 +522,7 @@ let ablate_cmd =
   Cmd.v
     (Cmd.info "ablate"
        ~doc:"Ablation studies of the tool's own design choices.")
-    Term.(const run $ seed_term $ budget_term $ which_term $ domains_term)
+    Term.(const run $ budget_term () $ which_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -641,31 +535,22 @@ let compare_cmd =
              ~doc:"Also run the simulated-annealing and tabu-search \
                    baselines (related-work comparisons, not in the paper).")
   in
-  let run env apps seed budget likelihood metaheuristics no_cache domains
-      portfolio obs_flags =
-    let env, workloads = resolve_env env apps in
-    let budget =
-      apply_portfolio portfolio
-        (apply_domains domains
-           (apply_cache no_cache (E.Budgets.with_seed budget seed)))
-    in
+  let run (env, workloads) likelihood budget metaheuristics obs_flags =
     let obs = obs_of obs_flags in
     let entries =
       E.Compare.run ~budgets:budget ~metaheuristics ~obs env workloads
         likelihood
     in
     E.Report.figure3 fmt entries;
-    match report_obs obs_flags obs with
-    | Ok () -> `Ok ()
-    | Error msg -> `Error (false, msg)
+    exit_with (report_obs obs_flags obs)
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Compare the design tool with the human and random heuristics \
              (Figure 3).")
-    Term.(ret (const run $ env_term $ apps_term $ seed_term $ budget_term
-               $ likelihood_term $ metaheuristics_term $ no_cache_term
-               $ domains_term $ portfolio_terms $ obs_terms))
+    Term.(ret (const run $ instance_term $ likelihood_term
+               $ budget_term ~cache:true ~portfolio:true ()
+               $ metaheuristics_term $ obs_terms))
 
 (* ------------------------------------------------------------------ *)
 (* sample                                                              *)
@@ -680,8 +565,7 @@ let sample_cmd =
     Arg.(value & opt int 14
          & info [ "bins" ] ~docv:"B" ~doc:"Histogram buckets.")
   in
-  let run env apps seed samples bins likelihood =
-    let env, workloads = resolve_env env apps in
+  let run (env, workloads) likelihood seed samples bins =
     let stats = E.Space_sampler.sample ~seed ~samples env workloads likelihood in
     E.Report.figure2 fmt stats ~bins ~marks:[]
   in
@@ -689,8 +573,8 @@ let sample_cmd =
     (Cmd.info "sample"
        ~doc:"Sample the solution space and print the cost distribution \
              (Figure 2).")
-    Term.(const run $ env_term $ apps_term $ seed_term $ samples_term
-          $ bins_term $ likelihood_term)
+    Term.(const run $ instance_term $ likelihood_term $ seed_term
+          $ samples_term $ bins_term)
 
 (* ------------------------------------------------------------------ *)
 (* scale                                                               *)
@@ -717,8 +601,7 @@ let scale_cmd =
              ~doc:"Applications per pod on the fleet axis (default 8; \
                    ignored without $(b,--fleet-pods)).")
   in
-  let run seed budget rounds domains fleet_pods apps_per_pod =
-    let budget = apply_domains domains (E.Budgets.with_seed budget seed) in
+  let run budget rounds fleet_pods apps_per_pod =
     match fleet_pods with
     | Some pods ->
       let points =
@@ -734,8 +617,8 @@ let scale_cmd =
        ~doc:"Scalability experiment: Figure 4 rounds on four fully \
              connected sites, or (with $(b,--fleet-pods)) the sharded \
              fleet coordinator past 1,000 applications.")
-    Term.(const run $ seed_term $ budget_term $ rounds_term $ domains_term
-          $ fleet_pods_term $ apps_per_pod_term)
+    Term.(const run $ budget_term () $ rounds_term $ fleet_pods_term
+          $ apps_per_pod_term)
 
 (* ------------------------------------------------------------------ *)
 (* fleet                                                               *)
@@ -820,59 +703,52 @@ let fleet_cmd =
            sites cost evals (shard_mode r))
       result.Fleet.shard_results
   in
-  let run pods apps_per_pod shards drift drift_factor seed budget domains
-      likelihood obs_flags =
-    let budget = apply_domains domains (E.Budgets.with_seed budget seed) in
-    let params =
-      { budget.E.Budgets.solver with
-        Design_solver.domains = max 1 budget.E.Budgets.domains }
-    in
-    let env = E.Envs.fleet_sites ~pods () in
-    let apps = E.Envs.fleet_apps ~pods ~apps_per_pod in
+  let run pods apps_per_pod shards drift drift_factor budget likelihood
+      obs_flags =
     let obs = obs_of obs_flags in
-    Format.fprintf fmt "fleet: %d applications over %d pods (%d sites)@."
-      (List.length apps) pods (List.length (Resources.Env.site_ids env));
     let started = Obs.Metrics.now_s () in
-    let cold = Fleet.solve ~params ?shards ~obs env apps likelihood in
-    print_fleet "cold solve" started cold;
-    if List.length cold.Fleet.shard_results <= 32 then print_shards cold;
+    let* cold =
+      E.Request.run_fleet ~obs
+        { E.Request.pods; apps_per_pod; shards; likelihood; budget }
+    in
+    let result = cold.E.Request.result in
+    Format.fprintf fmt "fleet: %d applications over %d pods (%d sites)@."
+      (List.length result.Fleet.apps) pods
+      (List.length (Resources.Env.site_ids cold.E.Request.sites));
+    print_fleet "cold solve" started result;
+    if List.length result.Fleet.shard_results <= 32 then print_shards result;
     let drift_status =
       match drift with
       | None -> Ok ()
-      | Some app_id when not (List.exists (fun a -> a.Workload.App.id = app_id) apps) ->
-        Error (Printf.sprintf "--drift: no application with id %d (fleet ids \
-                               are 1..%d)" app_id (List.length apps))
       | Some app_id ->
-        let apps' =
-          List.map
-            (fun a ->
-               if a.Workload.App.id = app_id then
-                 Workload.App.drift ~factor:drift_factor a
-               else a)
-            apps
-        in
         let started = Obs.Metrics.now_s () in
-        let warm = Fleet.resolve ~params ~obs ~incumbent:cold env apps' likelihood in
-        Format.fprintf fmt
-          "@.drifted app %d by x%g; %d of %d shards reused byte-for-byte@."
-          app_id drift_factor
-          (List.length
-             (List.filter (fun r -> r.Fleet.reused) warm.Fleet.shard_results))
-          (List.length warm.Fleet.shard_results);
-        print_fleet "warm re-solve" started warm;
-        Format.fprintf fmt
-          "warm used %d evaluations vs %d cold (%.1fx fewer)@."
-          warm.Fleet.evaluations cold.Fleet.evaluations
-          (if warm.Fleet.evaluations > 0 then
-             float_of_int cold.Fleet.evaluations
-             /. float_of_int warm.Fleet.evaluations
-           else Float.infinity);
-        Ok ()
+        (match
+           E.Request.run_resolve ~obs cold
+             { E.Request.drift = [ (app_id, drift_factor) ]; dirty = None;
+               catalog_revision = None }
+         with
+         | Error e -> Error (E.Request.error_message e)
+         | Ok warm ->
+           let warm = warm.E.Request.result in
+           Format.fprintf fmt
+             "@.drifted app %d by x%g; %d of %d shards reused byte-for-byte@."
+             app_id drift_factor
+             (List.length
+                (List.filter (fun r -> r.Fleet.reused)
+                   warm.Fleet.shard_results))
+             (List.length warm.Fleet.shard_results);
+           print_fleet "warm re-solve" started warm;
+           Format.fprintf fmt
+             "warm used %d evaluations vs %d cold (%.1fx fewer)@."
+             warm.Fleet.evaluations result.Fleet.evaluations
+             (if warm.Fleet.evaluations > 0 then
+                float_of_int result.Fleet.evaluations
+                /. float_of_int warm.Fleet.evaluations
+              else Float.infinity);
+           Ok ())
     in
     let obs_status = report_obs obs_flags obs in
-    match drift_status, obs_status with
-    | Ok (), Ok () -> `Ok ()
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
+    exit_with (Result.bind drift_status (fun () -> obs_status))
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -881,8 +757,8 @@ let fleet_cmd =
              merge, bounded reconcile. With $(b,--drift), demonstrate the \
              warm incremental re-solve.")
     Term.(ret (const run $ pods_term $ apps_per_pod_term $ shards_term
-               $ drift_term $ drift_factor_term $ seed_term $ budget_term
-               $ domains_term $ likelihood_term $ obs_terms))
+               $ drift_term $ drift_factor_term $ budget_term ()
+               $ likelihood_term $ obs_terms))
 
 (* ------------------------------------------------------------------ *)
 (* sensitivity                                                         *)
@@ -907,16 +783,14 @@ let sensitivity_cmd =
   let apps_count_term =
     Arg.(value & opt int 16 & info [ "apps" ] ~docv:"N" ~doc:"Applications.")
   in
-  let run seed budget axis apps domains =
-    let budget = apply_domains domains (E.Budgets.with_seed budget seed) in
+  let run budget axis apps =
     let points = E.Sensitivity.run ~budgets:budget ~apps axis in
     E.Report.sensitivity fmt axis points
   in
   Cmd.v
     (Cmd.info "sensitivity"
        ~doc:"Failure-likelihood sensitivity sweeps (Figures 5-7).")
-    Term.(const run $ seed_term $ budget_term $ axis_term $ apps_count_term
-          $ domains_term)
+    Term.(const run $ budget_term () $ axis_term $ apps_count_term)
 
 (* ------------------------------------------------------------------ *)
 (* diff                                                                *)
@@ -927,8 +801,7 @@ let diff_cmd =
     Arg.(required & pos idx (some string) None
          & info [] ~docv:name ~doc:(name ^ " design file."))
   in
-  let run env apps before_path after_path =
-    let env, workloads = resolve_env env apps in
+  let run (env, workloads) before_path after_path =
     match
       Design.Design_io.read_file env workloads before_path,
       Design.Design_io.read_file env workloads after_path
@@ -945,7 +818,7 @@ let diff_cmd =
   in
   Cmd.v
     (Cmd.info "diff" ~doc:"Compare two saved designs application by application.")
-    Term.(ret (const run $ env_term $ apps_term $ file_term 0 "BEFORE"
+    Term.(ret (const run $ instance_term $ file_term 0 "BEFORE"
                $ file_term 1 "AFTER"))
 
 (* ------------------------------------------------------------------ *)
@@ -958,9 +831,7 @@ let frontier_cmd =
          & info [ "multipliers" ] ~docv:"M1,M2,..."
              ~doc:"Risk-aversion multipliers applied to the penalty rates.")
   in
-  let run env apps seed budget likelihood multipliers domains =
-    let env, workloads = resolve_env env apps in
-    let budget = apply_domains domains (E.Budgets.with_seed budget seed) in
+  let run (env, workloads) likelihood budget multipliers =
     let points =
       E.Frontier.run ~budgets:budget ~multipliers env workloads likelihood
     in
@@ -971,51 +842,20 @@ let frontier_cmd =
     (Cmd.info "frontier"
        ~doc:"Sweep a risk-aversion multiplier and trace the outlay vs \
              expected-penalty trade-off frontier.")
-    Term.(const run $ env_term $ apps_term $ seed_term $ budget_term
-          $ likelihood_term $ multipliers_term $ domains_term)
+    Term.(const run $ instance_term $ likelihood_term $ budget_term ()
+          $ multipliers_term)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A fixed menu of workloads worth profiling, run under a fully
-   instrumented capability (metrics + trace) and rendered as a ds-prof/1
-   report. [refit] reproduces the bench harness's parallel-refit shape —
-   the workload whose parallel leg is slower than sequential on the
-   checked-in bench — so the report attributes exactly that regression:
-   worker busy/idle, memo lock waits, spawn/join overhead, Gc deltas. *)
+(* The bench harness's parallel-refit shape (bench/main.ml), run under
+   a fully instrumented capability (metrics + trace) and rendered as a
+   ds-prof/1 report: refit dominates and polish is off, so the report
+   attributes exactly the probe-map behaviour — worker busy/idle, memo
+   lock waits, spawn/join overhead, Gc deltas. Other runs are profiled
+   in place with --profile on solve, compare and risk. *)
 let profile_cmd =
-  let workload_conv =
-    let parse = function
-      | "refit" -> Ok `Refit
-      | "solve" -> Ok `Solve
-      | "year_sim" -> Ok `Year_sim
-      | "portfolio" -> Ok `Portfolio
-      | s ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown workload %S (refit|solve|year_sim|portfolio)" s))
-    in
-    let print ppf w =
-      Format.pp_print_string ppf
-        (match w with
-         | `Refit -> "refit"
-         | `Solve -> "solve"
-         | `Year_sim -> "year_sim"
-         | `Portfolio -> "portfolio")
-    in
-    Arg.conv (parse, print)
-  in
-  let workload_term =
-    Arg.(value & pos 0 workload_conv `Refit
-         & info [] ~docv:"WORKLOAD"
-             ~doc:"What to profile: $(b,refit) (the bench harness's \
-                   refit-heavy solve, default), $(b,solve) (a budgeted \
-                   solve), $(b,year_sim) (solve + Monte Carlo year \
-                   simulation) or $(b,portfolio) (4 multi-start \
-                   restarts).")
-  in
   let out_term =
     Arg.(value & opt string "profile.json"
          & info [ "out" ] ~docv:"FILE"
@@ -1025,91 +865,32 @@ let profile_cmd =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:"Also write the Chrome trace-event JSON (one lane per \
-                   worker domain) to FILE.")
+                   worker domain) to FILE and print the span tree.")
   in
-  let years_term =
-    Arg.(value & opt int 10_000
-         & info [ "years" ] ~docv:"N"
-             ~doc:"Simulated years for the year_sim workload.")
-  in
-  let run env apps seed budget likelihood workload out trace_out domains
-      years =
-    let env, workloads = resolve_env env apps in
-    let budget = apply_domains domains (E.Budgets.with_seed budget seed) in
-    let obs = Obs.create ~metrics:true ~trace:true () in
-    let solve_with params =
-      Design_solver.solve ~params ~obs env workloads likelihood
+  let run (env, workloads) likelihood budget out trace_out =
+    let flags = (trace_out, false, None, Some out) in
+    let obs = obs_of flags in
+    let params =
+      { budget.E.Budgets.solver with
+        Design_solver.breadth = 4;
+        depth = 4;
+        refit_rounds = 12;
+        patience = 13;
+        polish = None }
     in
-    let label, ran =
-      match workload with
-      | `Refit ->
-        (* The bench harness's parallel-refit shape (bench/main.ml):
-           refit dominates, polish off, so the report is almost pure
-           probe-map behavior. *)
-        let params =
-          { budget.E.Budgets.solver with
-            Design_solver.breadth = 4;
-            depth = 4;
-            refit_rounds = 12;
-            patience = 13;
-            polish = None }
-        in
-        ("refit", solve_with params <> None)
-      | `Solve -> ("solve", solve_with budget.E.Budgets.solver <> None)
-      | `Year_sim ->
-        ( "year_sim",
-          match solve_with budget.E.Budgets.solver with
-          | None -> false
-          | Some outcome ->
-            let pool = Exec.auto_width (Exec.create ~domains ()) in
-            let prov =
-              outcome.Design_solver.best.Candidate.eval
-                .Cost.Evaluate.provision
-            in
-            ignore
-              (Risk.Year_sim.simulate ~years ~obs ~pool
-                 (Prng.Rng.of_int seed) prov likelihood);
-            true )
-      | `Portfolio ->
-        let pool = Exec.auto_width (Exec.create ~domains ()) in
-        ( "portfolio",
-          Search.run ~restarts:4 ~params:budget.E.Budgets.solver ~pool ~obs
-            env workloads likelihood
-          <> None )
-    in
-    if not ran then `Error (false, "no feasible design found")
-    else begin
-      let report =
-        Obs.Prof.capture ~label ?registry:(Obs.metrics obs)
-          ?trace:(Obs.trace obs) ()
-      in
-      Format.fprintf fmt "%a" Obs.Prof.pp report;
-      let trace_status =
-        match (trace_out, Obs.trace obs) with
-        | Some path, Some collector ->
-          Obs.write_file path (Obs.Trace.to_chrome_json collector)
-        | _ -> Ok ()
-      in
-      match (Obs.write_file out (Obs.Prof.to_json report), trace_status) with
-      | Ok (), Ok () ->
-        Format.fprintf fmt "@.profile written to %s%s@." out
-          (match trace_out with
-           | Some p -> Printf.sprintf ", trace to %s" p
-           | None -> "");
-        `Ok ()
-      | Error msg, _ | _, Error msg -> `Error (false, msg)
-    end
+    match Design_solver.solve ~params ~obs env workloads likelihood with
+    | None -> `Error (false, E.Request.error_message E.Request.No_design)
+    | Some _ -> exit_with (report_obs flags obs)
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Run a representative workload fully instrumented and write a \
-             structured profiling report: per-stage wall/allocation \
-             breakdown, domain-pool utilization (worker busy/idle, \
-             spawn/join), lock-wait totals and histogram percentiles, \
-             plus an optional per-domain-lane Chrome trace.")
-    Term.(ret (const run $ env_term $ apps_term $ seed_term $ budget_term
-               $ likelihood_term $ workload_term $ out_term $ trace_out_term
-               $ domains_term $ years_term))
+       ~doc:"Run the bench harness's refit-heavy solve fully instrumented \
+             and write a structured profiling report: per-stage \
+             wall/allocation breakdown, domain-pool utilization (worker \
+             busy/idle, spawn/join), lock-wait totals and histogram \
+             percentiles, plus an optional per-domain-lane Chrome trace.")
+    Term.(ret (const run $ instance_term $ likelihood_term $ budget_term ()
+               $ out_term $ trace_out_term))
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)

@@ -25,8 +25,9 @@ type t = {
           The random and human arms already do their own multi-start
           ([random_attempts] / [human_attempts]). *)
   race : bool;
-      (** Portfolio racing ({!Ds_search.Search.run}'s [race]); winner
-          unchanged, raced restarts finish sooner. Default [false]. *)
+      (** Portfolio racing ({!Ds_search.Search.run}'s [race]): raced
+          restarts finish sooner, but the winner can change. Default
+          [false]. *)
   portfolio_evaluations : int option;
       (** Portfolio evaluation cap ({!Ds_search.Search.run}'s
           [max_evaluations]); [None] (default) = uncapped. *)

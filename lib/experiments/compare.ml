@@ -5,7 +5,6 @@ module Summary = Ds_cost.Summary
 module Money = Ds_units.Money
 module Candidate = Ds_solver.Candidate
 module Design_solver = Ds_solver.Design_solver
-module Search = Ds_search.Search
 module Human = Ds_heuristics.Human
 module Random_search = Ds_heuristics.Random_search
 module Heuristic_result = Ds_heuristics.Heuristic_result
@@ -74,19 +73,13 @@ let run ?(budgets = Budgets.default) ?(metaheuristics = false)
   let arms =
     [ ( "design tool",
         fun obs ->
-          if restarts = 1 then
-            Design_solver.solve ~params:inner.Budgets.solver ~obs env apps
-              likelihood
-            |> Option.map (fun o -> o.Design_solver.best)
-          else
-            (* The arm itself may already sit on a parallel pool, so the
-               portfolio runs its restarts sequentially; restart 0
-               replays the single-solve stream, so this arm can only get
-               cheaper as [restarts] grows. *)
-            Search.run ~restarts ~race:budgets.Budgets.race
-              ?max_evaluations:budgets.Budgets.portfolio_evaluations
-              ~params:inner.Budgets.solver ~obs env apps likelihood
-            |> Option.map (fun r -> r.Search.best) );
+          (* [inner] is single-domain (the arms own any parallelism),
+             so a portfolio here runs its restarts sequentially. *)
+          let request =
+            { Request.env; apps; likelihood; budget = inner; deadline_s = None }
+          in
+          Request.run_solve ~obs request |> Result.to_option
+          |> Option.map Request.best );
       ( "random",
         fun obs ->
           (Random_search.run ~attempts:budgets.Budgets.random_attempts ~obs

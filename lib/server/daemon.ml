@@ -23,8 +23,10 @@
    finish everything admitted) -> Stopped (workers exit, connections
    are shut down to wake their readers, [run] returns).
 
-   Determinism: every request carries its own seed and runs the same
-   machinery the CLI does. The shared memo cache is result-transparent
+   Determinism: every request carries its own seed and runs through
+   [Request], the code [dstool solve|risk|fleet] runs; this module only
+   decodes JSON params and encodes results. The shared memo cache is
+   result-transparent
    (identical keys map to identical values) and the resident pool is
    pure scheduling, so a request's design is byte-identical whether
    served alone, under concurrent load, or computed by [dstool solve]. *)
@@ -32,15 +34,8 @@
 module Metrics = Ds_obs.Metrics
 module Obs = Ds_obs.Obs
 module Progress = Ds_obs.Progress
-module Rng = Ds_prng.Rng
-module Env = Ds_resources.Env
-module App = Ds_workload.App
-module Workload_catalog = Ds_workload.Workload_catalog
-module Likelihood = Ds_failure.Likelihood
 module Design_io = Ds_design.Design_io
-module Provision = Ds_design.Provision
 module Summary = Ds_cost.Summary
-module Evaluate = Ds_cost.Evaluate
 module Candidate = Ds_solver.Candidate
 module Design_solver = Ds_solver.Design_solver
 module Config_solver = Ds_solver.Config_solver
@@ -50,8 +45,7 @@ module Fleet = Ds_fleet.Fleet
 module Year_sim = Ds_risk.Year_sim
 module Tail_sim = Ds_risk.Tail_sim
 module Exec = Ds_exec.Exec
-module Budgets = Ds_experiments.Budgets
-module Envs = Ds_experiments.Envs
+module Request = Ds_experiments.Request
 module Money = Ds_units.Money
 
 type config = {
@@ -93,14 +87,6 @@ type job = {
 
 type phase = Running | Draining | Stopped
 
-type fleet_entry = {
-  mutable f_env : Env.t;
-  mutable f_apps : App.t list;
-  f_params : Design_solver.params;
-  f_likelihood : Likelihood.t;
-  mutable incumbent : Fleet.t;
-}
-
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
@@ -119,7 +105,7 @@ type t = {
   mutable readers : Thread.t list;
   wake_r : Unix.file_descr;  (* self-pipe: [stop] interrupts the select *)
   wake_w : Unix.file_descr;
-  fleets : (string, fleet_entry) Hashtbl.t;  (* guarded by [lock] *)
+  fleets : (string, Request.fleet_state) Hashtbl.t;  (* guarded by [lock] *)
 }
 
 let port t = t.bound_port
@@ -198,7 +184,7 @@ let observe_request t method_ ~since =
     (Metrics.histogram t.registry (Printf.sprintf "server.%s_s" method_))
     dt
 
-(* ---- Request-parameter parsing ------------------------------------ *)
+(* ---- JSON codec over Request ------------------------------------- *)
 
 let ( let* ) = Result.bind
 let bad msg = Error (Protocol.invalid_params, msg)
@@ -206,67 +192,92 @@ let lift r = Result.map_error (fun m -> (Protocol.invalid_params, m)) r
 let int_json n = Json.Num (float_of_int n)
 let money_json m = Json.Num (Money.to_dollars m)
 
-(* Mirrors [dstool]'s --env/--apps resolution exactly: requests and CLI
-   runs describing the same problem must build the same Env/App values,
-   or the byte-identity contract is vacuous. *)
-let env_of params =
-  let* name = lift (Json.get_str ~default:"peer" "env" params) in
-  let apps = Option.bind (Json.member "apps" params) Json.int_opt in
-  match name with
-  | "peer" ->
-    let workloads =
-      match apps with
-      | None -> Envs.peer_apps ()
-      | Some n -> Workload_catalog.mix ~count:n
-    in
-    Ok (Envs.peer_sites (), workloads)
-  | "quad" ->
-    let n = Option.value ~default:16 apps in
-    Ok (Envs.quad_sites (), Workload_catalog.mix ~count:n)
-  | s -> bad (Printf.sprintf "unknown environment %S (peer|quad)" s)
+let ran = function
+  | Ok v -> Ok v
+  | Error (Request.Invalid msg) -> bad msg
+  | Error Request.No_design ->
+    Error (Protocol.internal_error, Request.error_message Request.No_design)
+
+let checked r = Result.map_error Request.error_message r
 
 let likelihood_of params =
-  let d = Likelihood.default in
-  let rate key dflt =
-    match Json.member key params with
-    | None -> Ok dflt
-    | Some v ->
-      (match Json.num_opt v with
-       | Some f -> Ok f
-       | None -> bad (key ^ " must be a number"))
-  in
-  let* obj = rate "object_rate" d.Likelihood.data_object_per_year in
-  let* arr = rate "array_rate" d.Likelihood.array_per_year in
-  let* site = rate "site_rate" d.Likelihood.site_per_year in
-  Ok
-    (Likelihood.v ~data_object_per_year:obj ~array_per_year:arr
-       ~site_per_year:site)
+  let* object_rate = Json.find_num "object_rate" params in
+  let* array_rate = Json.find_num "array_rate" params in
+  let* site_rate = Json.find_num "site_rate" params in
+  checked (Request.likelihood ?object_rate ?array_rate ?site_rate ())
 
-(* Same seed/budget/portfolio shaping as [dstool solve]; the server's
-   --budget-evals becomes the default portfolio cap for requests that
-   ask for restarts without a cap of their own. *)
-let budget_of t params =
-  let* seed = lift (Json.get_int ~default:42 "seed" params) in
-  let* budget_name = lift (Json.get_str ~default:"default" "budget" params) in
-  let* base =
-    match budget_name with
-    | "quick" -> Ok Budgets.quick
-    | "default" -> Ok Budgets.default
-    | s -> bad (Printf.sprintf "unknown budget %S (quick|default)" s)
+(* The server's --budget-evals caps portfolios that bring no cap; its
+   --domains is the solver's width only for fleets (the shard pool). *)
+let budget_of ?domains t params =
+  let* seed = Json.get_int ~default:42 "seed" params in
+  let* name = Json.get_str ~default:"default" "budget" params in
+  let* restarts = Json.get_int ~default:1 "restarts" params in
+  let* race = Json.get_bool ~default:false "race" params in
+  let* max_evaluations = Json.find_int "max_evaluations" params in
+  let max_evaluations =
+    if max_evaluations = None && restarts > 1 then t.config.budget_evals
+    else max_evaluations
   in
-  let* restarts = lift (Json.get_int ~default:1 "restarts" params) in
-  let* race = lift (Json.get_bool ~default:false "race" params) in
-  if restarts < 1 then bad "restarts must be positive"
-  else begin
-    let evals =
-      match Option.bind (Json.member "max_evaluations" params) Json.int_opt with
-      | Some n -> Some n
-      | None -> if restarts > 1 then t.config.budget_evals else None
-    in
-    let budget = Budgets.with_seed base seed in
-    if restarts = 1 && (not race) && evals = None then Ok budget
-    else Ok (Budgets.with_portfolio ~race ?max_evaluations:evals budget restarts)
-  end
+  checked
+    (Request.budget ~restarts ~race ?max_evaluations ?domains ~seed name)
+
+let solve_of t params =
+  let* env = Json.get_str ~default:"peer" "env" params in
+  let* apps = Json.find_int "apps" params in
+  let* env, apps = checked (Request.instance ?apps env) in
+  let* likelihood = likelihood_of params in
+  let* budget = budget_of t params in
+  let* deadline_s = Json.find_num "deadline_s" params in
+  Ok { Request.env; apps; likelihood; budget; deadline_s }
+
+let risk_of t params =
+  let* solve = solve_of t params in
+  let* design = Json.find_str "design" params in
+  let* years = Json.get_int ~default:10_000 "years" params in
+  let* sla = Json.find_num "sla" params in
+  let* tilt = Json.get_num ~default:8. "tilt" params in
+  let* strata = Json.get_str ~default:"scope" "strata" params in
+  Ok { Request.solve; design; years; sla; tilt; strata }
+
+let fleet_of t params =
+  let* pods = Json.get_int ~default:4 "pods" params in
+  let* apps_per_pod = Json.get_int ~default:8 "apps_per_pod" params in
+  let* shards = Json.find_int "shards" params in
+  let* likelihood = likelihood_of params in
+  let* budget = budget_of ~domains:(max 1 t.config.domains) t params in
+  Ok { Request.pods; apps_per_pod; shards; likelihood; budget }
+
+let all f items =
+  List.fold_right
+    (fun item acc ->
+      let* acc = acc in
+      let* x = f item in
+      Ok (x :: acc))
+    items (Ok [])
+
+let resolve_of params =
+  let* drift =
+    match Json.member "drift" params with
+    | None -> Ok []
+    | Some (Json.List items) ->
+      all
+        (fun item ->
+          let* app_id = Json.get_int "app_id" item in
+          let* factor = Json.get_num ~default:2. "factor" item in
+          Ok (app_id, factor))
+        items
+    | Some _ -> Error "drift must be a list of {app_id, factor} objects"
+  in
+  let* dirty = Json.find_list "dirty" params in
+  let* dirty =
+    match dirty with
+    | None -> Ok None
+    | Some ids ->
+      let id v = Option.to_result ~none:"dirty must list app ids" v in
+      Result.map Option.some (all (fun v -> id (Json.int_opt v)) ids)
+  in
+  let* catalog_revision = Json.find_int "catalog_revision" params in
+  Ok { Request.drift; dirty; catalog_revision }
 
 (* ---- Progress notifications --------------------------------------- *)
 
@@ -309,12 +320,13 @@ let request_obs t conn id ~progress =
 
 (* ---- Method handlers ---------------------------------------------- *)
 
-let outcome_json (o : Design_solver.outcome) portfolio =
-  let best, extra =
-    match portfolio with
-    | None -> (o.Design_solver.best, [])
-    | Some (r : Search.result) ->
-      ( r.Search.best,
+let outcome_json solved =
+  let best = Request.best solved in
+  let o, extra =
+    match solved with
+    | Request.Single o -> (o, [])
+    | Request.Portfolio r ->
+      ( r.Search.outcome,
         [ ("winner", int_json r.Search.winner);
           ("restarts_run", int_json r.Search.restarts_run);
           ("portfolio_raced_off", int_json r.Search.raced_off);
@@ -329,42 +341,6 @@ let outcome_json (o : Design_solver.outcome) portfolio =
        ("improved_by_refit", Json.Bool o.Design_solver.improved_by_refit);
        ("raced_off", Json.Bool o.Design_solver.raced_off) ]
      @ extra)
-
-(* Budget semantics (DESIGN.md §16): [max_evaluations] binds portfolio
-   requests through [Search.run]'s anytime admission; [deadline_s]
-   binds single solves through the [abandon] race hook, which returns
-   the anytime incumbent with [raced_off = true] instead of failing. *)
-let handle_solve t conn (req : Protocol.request) =
-  let params = req.Protocol.params in
-  let* env, workloads = env_of params in
-  let* likelihood = likelihood_of params in
-  let* budget = budget_of t params in
-  let* want_progress = lift (Json.get_bool ~default:false "progress" params) in
-  let deadline_s = Option.bind (Json.member "deadline_s" params) Json.num_opt in
-  let obs = request_obs t conn req.Protocol.id ~progress:want_progress in
-  let abandon =
-    Option.map
-      (fun limit ->
-        let deadline = Metrics.now_s () +. limit in
-        fun (_ : float) -> Metrics.now_s () > deadline)
-      deadline_s
-  in
-  if budget.Budgets.restarts = 1 then
-    match
-      Design_solver.solve ~params:budget.Budgets.solver ~obs ?abandon
-        ~memo:t.memo env workloads likelihood
-    with
-    | Some o -> Ok (outcome_json o None)
-    | None -> Error (Protocol.internal_error, "no feasible design found")
-  else
-    match
-      Search.run ~restarts:budget.Budgets.restarts ~race:budget.Budgets.race
-        ?max_evaluations:budget.Budgets.portfolio_evaluations
-        ~params:budget.Budgets.solver ~pool:t.pool ~obs env workloads
-        likelihood
-    with
-    | Some r -> Ok (outcome_json r.Search.outcome (Some r))
-    | None -> Error (Protocol.internal_error, "no feasible design found")
 
 let fleet_json (f : Fleet.t) =
   Json.Obj
@@ -381,211 +357,85 @@ let fleet_json (f : Fleet.t) =
                 (fun (r : Fleet.shard_result) -> r.Fleet.reused)
                 f.Fleet.shard_results)) ) ]
 
-let handle_fleet t conn (req : Protocol.request) =
-  let params = req.Protocol.params in
-  let* name = lift (Json.get_str ~default:"default" "name" params) in
-  let* pods = lift (Json.get_int ~default:4 "pods" params) in
-  let* apps_per_pod = lift (Json.get_int ~default:8 "apps_per_pod" params) in
-  let shards = Option.bind (Json.member "shards" params) Json.int_opt in
-  let* likelihood = likelihood_of params in
-  let* budget = budget_of t params in
-  let* want_progress = lift (Json.get_bool ~default:false "progress" params) in
-  if pods < 1 || apps_per_pod < 1 then
-    bad "pods and apps_per_pod must be positive"
-  else begin
-    let f_params =
-      { budget.Budgets.solver with
-        Design_solver.domains = max 1 t.config.domains }
-    in
-    match Envs.fleet_sites ~pods () with
-    | exception Invalid_argument msg -> bad msg
-    | env ->
-      let apps = Envs.fleet_apps ~pods ~apps_per_pod in
-      let obs = request_obs t conn req.Protocol.id ~progress:want_progress in
-      (match Fleet.solve ~params:f_params ?shards ~obs env apps likelihood with
-       | exception Invalid_argument msg -> bad msg
-       | fleet ->
-         Mutex.protect t.lock (fun () ->
-             Hashtbl.replace t.fleets name
-               { f_env = env;
-                 f_apps = apps;
-                 f_params;
-                 f_likelihood = likelihood;
-                 incumbent = fleet });
-         Ok (fleet_json fleet))
-  end
+let certification_json (c : Tail_sim.certification) =
+  Json.Obj
+    [ ("verdict", Json.Str (Tail_sim.verdict_to_string c.Tail_sim.verdict));
+      ("availability", Json.Num c.Tail_sim.availability);
+      ("downtime_budget_h", Json.Num c.Tail_sim.downtime_budget);
+      ("deciding_bound", Json.Num c.Tail_sim.deciding_bound);
+      ("ess", Json.Num c.Tail_sim.ess);
+      ( "uncovered",
+        Json.List (List.map (fun s -> Json.Str s) c.Tail_sim.uncovered) );
+      ("reason", Json.Str c.Tail_sim.reason) ]
 
-let drift_of params =
-  match Json.member "drift" params with
-  | None -> Ok []
-  | Some v ->
-    (match Json.list_opt v with
-     | None -> bad "drift must be a list of {app_id, factor} objects"
-     | Some items ->
-       List.fold_left
-         (fun acc item ->
-           let* acc = acc in
-           let* app_id = lift (Json.get_int "app_id" item) in
-           let* factor = lift (Json.get_num ~default:2. "factor" item) in
-           Ok ((app_id, factor) :: acc))
-         (Ok []) items
-       |> Result.map List.rev)
-
-(* Warm-start re-solve of a named fleet held server-side: apply the
-   requested drift to the resident apps, re-solve against the resident
-   incumbent, and keep the result as the new incumbent. Entry mutations
-   happen under the daemon lock; concurrent resolves of the same fleet
-   serialize their state updates (last writer wins on the incumbent). *)
-let handle_resolve t conn (req : Protocol.request) =
-  let params = req.Protocol.params in
-  let* name = lift (Json.get_str ~default:"default" "name" params) in
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.fleets name) with
-  | None ->
-    bad
-      (Printf.sprintf "unknown fleet %S (create it with the fleet method)"
-         name)
-  | Some entry ->
-    let* drift = drift_of params in
-    let dirty =
-      match Json.member "dirty" params with
-      | Some (Json.List ids) -> Some (List.filter_map Json.int_opt ids)
-      | _ -> None
-    in
-    let* catalog_revision =
-      match Json.member "catalog_revision" params with
-      | None -> Ok None
-      | Some v ->
-        (match Json.int_opt v with
-         | Some n -> Ok (Some n)
-         | None -> bad "catalog_revision must be an integer")
-    in
-    let* want_progress = lift (Json.get_bool ~default:false "progress" params) in
-    let env =
-      match catalog_revision with
-      | Some rev -> Env.with_catalog_revision entry.f_env rev
-      | None -> entry.f_env
-    in
-    let apps' =
-      if drift = [] then entry.f_apps
-      else
-        List.map
-          (fun a ->
-            match List.assoc_opt a.App.id drift with
-            | Some factor -> App.drift ~factor a
-            | None -> a)
-          entry.f_apps
-    in
-    let obs = request_obs t conn req.Protocol.id ~progress:want_progress in
-    let warm =
-      Fleet.resolve ~params:entry.f_params ~obs ?dirty
-        ~incumbent:entry.incumbent env apps' entry.f_likelihood
-    in
-    Mutex.protect t.lock (fun () ->
-        entry.f_env <- env;
-        entry.f_apps <- apps';
-        entry.incumbent <- warm);
-    Ok (fleet_json warm)
-
-let handle_risk t conn (req : Protocol.request) =
-  let params = req.Protocol.params in
-  let* env, workloads = env_of params in
-  let* likelihood = likelihood_of params in
-  let* budget = budget_of t params in
-  let* seed = lift (Json.get_int ~default:42 "seed" params) in
-  let* years = lift (Json.get_int ~default:10_000 "years" params) in
-  let* tilt = lift (Json.get_num ~default:8. "tilt" params) in
-  let* strata = lift (Json.get_str ~default:"scope" "strata" params) in
-  let* strategy =
-    match strata with
-    | "scope" -> Ok Tail_sim.By_scope
-    | "none" -> Ok Tail_sim.Nominal_only
-    | s -> bad (Printf.sprintf "unknown strata %S (scope|none)" s)
-  in
-  let sla = Option.bind (Json.member "sla" params) Json.num_opt in
-  if years < 1 then bad "years must be positive"
-  else begin
-    let obs = request_obs t conn req.Protocol.id ~progress:false in
-    let* prov =
-      match Option.bind (Json.member "design" params) Json.str_opt with
-      | Some text ->
-        (match Design_io.of_string env workloads text with
-         | Error msg -> bad ("design: " ^ msg)
-         | Ok design ->
-           (match Provision.minimum design with
-            | Ok prov -> Ok prov
-            | Error e ->
-              bad
-                (Format.asprintf "design is infeasible: %a"
-                   Provision.pp_infeasibility e)))
-      | None ->
-        (match
-           Design_solver.solve ~params:budget.Budgets.solver ~obs ~memo:t.memo
-             env workloads likelihood
-         with
-         | Some o ->
-           Ok o.Design_solver.best.Candidate.eval.Evaluate.provision
-         | None -> Error (Protocol.internal_error, "no feasible design found"))
-    in
-    let rng = Rng.of_int seed in
-    let sim = Year_sim.simulate ~years ~obs ~pool:t.pool rng prov likelihood in
-    let base =
-      [ ("years", int_json years);
-        ("mean_dollars", money_json sim.Year_sim.mean);
-        ("p50_dollars", money_json sim.Year_sim.p50);
-        ("p90_dollars", money_json sim.Year_sim.p90);
-        ("p99_dollars", money_json sim.Year_sim.p99);
-        ("worst_dollars", money_json sim.Year_sim.worst);
-        ("quiet_fraction", Json.Num sim.Year_sim.quiet_fraction) ]
-    in
-    match sla with
-    | None -> Ok (Json.Obj base)
-    | Some availability when availability <= 0. || availability >= 1. ->
-      bad "sla must be in (0, 1)"
-    | Some availability ->
-      (* Split after the naive run, exactly like the CLI: Year_sim
-         pre-splits one stream per chunk, so the parent has advanced by
-         a fixed pool-independent amount and the tail sample stays
-         byte-identical at every width. *)
-      (match
-         Tail_sim.simulate ~years ~tilt ~strategy ~obs ~pool:t.pool
-           (Rng.split rng) prov likelihood
-       with
-       | exception Invalid_argument msg -> bad msg
-       | tail ->
-         let cert = Tail_sim.certify tail ~availability in
-         Ok
-           (Json.Obj
-              (base
-              @ [ ( "certification",
-                    Json.Obj
-                      [ ( "verdict",
-                          Json.Str
-                            (Tail_sim.verdict_to_string
-                               cert.Tail_sim.verdict) );
-                        ("availability", Json.Num cert.Tail_sim.availability);
-                        ( "downtime_budget_h",
-                          Json.Num cert.Tail_sim.downtime_budget );
-                        ( "deciding_bound",
-                          Json.Num cert.Tail_sim.deciding_bound );
-                        ("ess", Json.Num cert.Tail_sim.ess);
-                        ( "uncovered",
-                          Json.List
-                            (List.map
-                               (fun s -> Json.Str s)
-                               cert.Tail_sim.uncovered) );
-                        ("reason", Json.Str cert.Tail_sim.reason) ] ) ])))
-  end
+let risk_json (r : Request.risk) (report : Request.risk_report) =
+  let sim = report.Request.year_sim in
+  Json.Obj
+    ([ ("years", int_json r.Request.years);
+       ("mean_dollars", money_json sim.Year_sim.mean);
+       ("p50_dollars", money_json sim.Year_sim.p50);
+       ("p90_dollars", money_json sim.Year_sim.p90);
+       ("p99_dollars", money_json sim.Year_sim.p99);
+       ("worst_dollars", money_json sim.Year_sim.worst);
+       ("quiet_fraction", Json.Num sim.Year_sim.quiet_fraction) ]
+    @
+    match report.Request.tail with
+    | None -> []
+    | Some (_, cert) -> [ ("certification", certification_json cert) ])
 
 (* Test and bench aid: occupies a worker for a deterministic duration,
    which is how the admission tests fill the queue and how drain tests
    leave a request in flight. Not part of the documented surface. *)
-let handle_sleep (req : Protocol.request) =
-  let* seconds = lift (Json.get_num ~default:0.05 "seconds" req.Protocol.params) in
+let handle_sleep params =
+  let* seconds = lift (Json.get_num ~default:0.05 "seconds" params) in
   if seconds < 0. || seconds > 60. then bad "seconds must be in [0, 60]"
   else begin
     Thread.delay seconds;
     Ok (Json.Obj [ ("slept_s", Json.Num seconds) ])
   end
+
+(* Fleets are held server-side under a name: [fleet] stores a cold
+   solve and [resolve] warm re-solves from the stored state. Concurrent
+   resolves of one fleet each start from the state they found; the last
+   to finish becomes the incumbent. *)
+let store t name state =
+  Mutex.protect t.lock (fun () -> Hashtbl.replace t.fleets name state);
+  fleet_json state.Request.result
+
+(* Budget semantics (DESIGN.md §16): [max_evaluations] binds portfolio
+   requests through the portfolio's anytime admission; [deadline_s]
+   binds single solves through the [abandon] race hook, which returns
+   the anytime incumbent with [raced_off = true] instead of failing. *)
+let handle_heavy t conn (req : Protocol.request) =
+  let params = req.Protocol.params in
+  let* progress = lift (Json.get_bool ~default:false "progress" params) in
+  let obs = request_obs t conn req.Protocol.id ~progress in
+  let name = lift (Json.get_str ~default:"default" "name" params) in
+  match req.Protocol.method_ with
+  | "solve" ->
+    let* r = lift (solve_of t params) in
+    Result.map outcome_json
+      (ran (Request.run_solve ~memo:t.memo ~pool:t.pool ~obs r))
+  | "risk" ->
+    let* r = lift (risk_of t params) in
+    Result.map (risk_json r)
+      (ran (Request.run_risk ~memo:t.memo ~pool:t.pool ~obs r))
+  | "fleet" ->
+    let* name = name in
+    let* r = lift (fleet_of t params) in
+    Result.map (store t name) (ran (Request.run_fleet ~obs r))
+  | "resolve" ->
+    let* name = name in
+    let* r = lift (resolve_of params) in
+    (match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.fleets name) with
+     | None ->
+       bad
+         (Printf.sprintf "unknown fleet %S (create it with the fleet method)"
+            name)
+     | Some state ->
+       Result.map (store t name) (ran (Request.run_resolve ~obs state r)))
+  | "sleep" -> handle_sleep params
+  | m -> Error (Protocol.method_not_found, "unknown method " ^ m)
 
 let health_json t =
   let queued, inflight, phase =
@@ -625,15 +475,6 @@ let handle_cache_resize t (req : Protocol.request) =
 let heavy = function
   | "solve" | "resolve" | "fleet" | "risk" | "sleep" -> true
   | _ -> false
-
-let handle_heavy t conn (req : Protocol.request) =
-  match req.Protocol.method_ with
-  | "solve" -> handle_solve t conn req
-  | "resolve" -> handle_resolve t conn req
-  | "fleet" -> handle_fleet t conn req
-  | "risk" -> handle_risk t conn req
-  | "sleep" -> handle_sleep req
-  | m -> Error (Protocol.method_not_found, "unknown method " ^ m)
 
 let run_job t (job : job) =
   Metrics.observe

@@ -14,8 +14,8 @@
     [risk], [sleep]) are enqueued. A full queue rejects with the
     [overloaded] error instead of blocking the reader.
 
-    {b Determinism.} Requests carry their own seeds and run the same
-    deterministic machinery the CLI does; the shared memo cache is
+    {b Determinism.} Requests carry their own seeds and run through
+    {!Ds_experiments.Request}, as the CLI does; the shared memo cache is
     result-transparent and the pool is pure scheduling, so a given
     request returns the byte-identical design whether served alone,
     under concurrent load, or by [dstool solve] directly. *)

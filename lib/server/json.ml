@@ -298,35 +298,27 @@ let int_opt = function
 
 let list_opt = function List items -> Some items | _ -> None
 
-let get_str ?default key v =
-  match Option.map str_opt (member key v) with
-  | Some (Some s) -> Ok s
-  | Some None -> Error (Printf.sprintf "%S must be a string" key)
-  | None ->
-    (match default with
-     | Some d -> Ok d
-     | None -> Error (Printf.sprintf "missing required member %S" key))
+(* A present member of the wrong type is an error, never a silent
+   [None]: a request that misspells a type must not run with a default. *)
+let find conv kind key v =
+  match member key v with
+  | None -> Ok None
+  | Some x ->
+    (match conv x with
+     | Some y -> Ok (Some y)
+     | None -> Error (Printf.sprintf "%S must be %s" key kind))
 
-let get_int ?default key v =
-  match Option.map int_opt (member key v) with
-  | Some (Some n) -> Ok n
-  | Some None -> Error (Printf.sprintf "%S must be an integer" key)
-  | None ->
-    (match default with
-     | Some d -> Ok d
-     | None -> Error (Printf.sprintf "missing required member %S" key))
+let get conv kind ?default key v =
+  match find conv kind key v, default with
+  | Ok (Some y), _ | Ok None, Some y -> Ok y
+  | Ok None, None -> Error (Printf.sprintf "missing required member %S" key)
+  | (Error _ as e), _ -> e
 
-let get_num ?default key v =
-  match Option.map num_opt (member key v) with
-  | Some (Some f) -> Ok f
-  | Some None -> Error (Printf.sprintf "%S must be a number" key)
-  | None ->
-    (match default with
-     | Some d -> Ok d
-     | None -> Error (Printf.sprintf "missing required member %S" key))
-
-let get_bool ~default key v =
-  match Option.map bool_opt (member key v) with
-  | Some (Some b) -> Ok b
-  | Some None -> Error (Printf.sprintf "%S must be a boolean" key)
-  | None -> Ok default
+let find_str = find str_opt "a string"
+let find_int = find int_opt "an integer"
+let find_num = find num_opt "a number"
+let find_list = find list_opt "a list"
+let get_str ?default = get str_opt "a string" ?default
+let get_int ?default = get int_opt "an integer" ?default
+let get_num ?default = get num_opt "a number" ?default
+let get_bool ~default = get bool_opt "a boolean" ~default

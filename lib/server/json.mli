@@ -41,7 +41,15 @@ val int_opt : t -> int option
 val list_opt : t -> t list option
 
 (** {1 Checked object lookups} — shared by the RPC method handlers;
-    the [Error] strings are user-facing "invalid params" messages. *)
+    the [Error] strings are user-facing "invalid params" messages. A
+    member of the wrong type is always an [Error]. *)
+
+val find_str : string -> t -> (string option, string) result
+(** [Ok None] when the key is absent. *)
+
+val find_int : string -> t -> (int option, string) result
+val find_num : string -> t -> (float option, string) result
+val find_list : string -> t -> (t list option, string) result
 
 val get_str : ?default:string -> string -> t -> (string, string) result
 val get_int : ?default:int -> string -> t -> (int, string) result

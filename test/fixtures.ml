@@ -80,3 +80,10 @@ let two_app_design () =
   let design = D.empty (peer_env ()) in
   let design = ok (assign_full b_app design) in
   ok (assign_tape_only s_app design)
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i =
+    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
+  in
+  nl = 0 || go 0

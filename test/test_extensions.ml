@@ -23,10 +23,7 @@ module E = Experiments
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
+let contains = Fixtures.contains
 
 let likelihood = Likelihood.default
 

@@ -20,10 +20,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
+let contains = Fixtures.contains
 
 (* ------------------------------------------------------------------ *)
 (* A minimal JSON well-formedness checker (no JSON library in the      *)

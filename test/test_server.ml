@@ -368,8 +368,149 @@ let admission_tests =
                (Json.member "slept_s" r <> None || r <> Json.Null)
            | Error msg -> Alcotest.failf "in-flight request lost: %s" msg)) ]
 
+(* ---- The two front ends against each other ------------------------ *)
+
+let contains = Fixtures.contains
+
+(* The dstool binary is a declared test dependency, built next to the
+   test executable's directory regardless of the invocation cwd. *)
+let run_dstool args =
+  let dstool =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/dstool.exe")
+  in
+  let out = Filename.temp_file "dstool" ".out" in
+  let err = Filename.temp_file "dstool" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote dstool) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let result = (code, read out, read err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+(* The same invalid input as CLI arguments and as a request, with the
+   message both front ends must give. The resolve row drifts an app of
+   the one-pod, two-app fleet "v" that the server test creates first. *)
+let invalid_inputs =
+  [ ("risk --years 0", "risk", {|{"years":0}|}, "years must be positive");
+    ("risk --years=-5", "risk", {|{"years":-5}|}, "years must be positive");
+    ("solve --apps=-3", "solve", {|{"apps":-3}|}, "apps must be non-negative");
+    ( "solve --object-rate=-1", "solve", {|{"object_rate":-1}|},
+      "object_rate must be finite and non-negative" );
+    ("fleet --pods 0", "fleet", {|{"pods":0}|}, "pods must be positive");
+    ("fleet --shards 0", "fleet", {|{"shards":0}|}, "shards must be positive");
+    ( "fleet --apps-per-pod 0", "fleet", {|{"apps_per_pod":0}|},
+      "apps_per_pod must be positive" );
+    ("risk --sla 2", "risk", {|{"sla":2}|}, "sla must be in (0, 1)");
+    ( "fleet --pods 1 --apps-per-pod 2 --budget quick --drift 99", "resolve",
+      {|{"name":"v","drift":[{"app_id":99}]}|},
+      "drift: no application with id 99 (fleet ids are 1..2)" ) ]
+
+(* Optional members of the wrong type, which the CLI's flag parser
+   cannot express: each must be rejected, never dropped. *)
+let mistyped_inputs =
+  [ ("risk", {|{"sla":"0.999"}|});
+    ("solve", {|{"apps":"six"}|});
+    ("solve", {|{"restarts":2,"max_evaluations":"10"}|});
+    ("solve", {|{"deadline_s":"1"}|});
+    ("fleet", {|{"shards":"2"}|});
+    ("risk", {|{"design":5}|});
+    ("resolve", {|{"name":"v","dirty":"oops"}|});
+    ("resolve", {|{"name":"v","dirty":[1,"two"]}|}) ]
+
+let frontend_tests =
+  [ Alcotest.test_case "dstool rejects invalid input with an error exit"
+      `Slow (fun () ->
+          List.iter
+            (fun (args, _, _, message) ->
+               let code, _, err = run_dstool args in
+               check_bool (args ^ ": nonzero exit, not a crash") true
+                 (code <> 0 && code <> 125);
+               check_bool (args ^ ": prints the message") true
+                 (contains err ("dstool: " ^ message ^ "\n")))
+            invalid_inputs);
+    Alcotest.test_case "invalid params answer -32602 with the CLI's message"
+      `Slow (fun () ->
+          with_daemon base_config (fun d ->
+              with_client d (fun c ->
+                  let call method_ params =
+                    Client.call c ~method_ (ok_exn (Json.of_string params))
+                  in
+                  ignore
+                    (ok_exn
+                       (call "fleet"
+                          {|{"name":"v","pods":1,"apps_per_pod":2,
+                             "budget":"quick"}|}));
+                  let rejects method_ params =
+                    match call method_ params with
+                    | Ok _ -> Alcotest.failf "%s %s was accepted" method_ params
+                    | Error msg -> msg
+                  in
+                  List.iter
+                    (fun (_, method_, params, message) ->
+                       check_string params
+                         (Printf.sprintf "server error %d: %s"
+                            Protocol.invalid_params message)
+                         (rejects method_ params))
+                    invalid_inputs;
+                  List.iter
+                    (fun (method_, params) ->
+                       check_bool params true
+                         (contains (rejects method_ params)
+                            (Printf.sprintf "server error %d: "
+                               Protocol.invalid_params)))
+                    mistyped_inputs)));
+    Alcotest.test_case "dstool and the server give the same design and verdict"
+      `Slow (fun () ->
+          let file = Filename.temp_file "dstool" ".design" in
+          let code, _, _ =
+            run_dstool
+              ("solve --budget quick --seed 7 -o " ^ Filename.quote file)
+          in
+          check_int "solve exits 0" 0 code;
+          let cli_design = In_channel.with_open_bin file In_channel.input_all in
+          let code, risk_out, _ =
+            run_dstool
+              ("risk --seed 3 --years 2000 --sla 0.999 --design "
+               ^ Filename.quote file)
+          in
+          Sys.remove file;
+          check_int "risk exits 0" 0 code;
+          with_daemon base_config (fun d ->
+              with_client d (fun c ->
+                  let served =
+                    ok_exn (Client.call c ~method_:"solve" (solve_params 7))
+                  in
+                  check_string "design bytes" cli_design (design_of served);
+                  let risk =
+                    ok_exn
+                      (Client.call c ~method_:"risk"
+                         (Json.Obj
+                            [ ("design", Json.Str cli_design);
+                              ("seed", Json.Num 3.);
+                              ("years", Json.Num 2000.);
+                              ("sla", Json.Num 0.999) ]))
+                  in
+                  let cert = Option.get (Json.member "certification" risk) in
+                  let field k conv =
+                    Option.get (Option.bind (Json.member k cert) conv)
+                  in
+                  check_bool "the CLI prints the served verdict" true
+                    (contains risk_out
+                       ("hours/year): " ^ field "verdict" Json.str_opt ^ "\n"));
+                  check_bool "the CLI prints the served ESS" true
+                    (contains risk_out
+                       (Printf.sprintf "effective sample size %.1f\n"
+                          (field "ess" Json.num_opt)))))) ]
+
 let suites =
   [ ("server.json", json_tests);
     ("server.protocol", protocol_tests);
     ("server.e2e", determinism_tests);
-    ("server.admission", admission_tests) ]
+    ("server.admission", admission_tests);
+    ("server.frontends", frontend_tests) ]
