@@ -369,10 +369,11 @@ let kernel_fixture () =
   build 99
 
 (* Head-to-head: the same Monte Carlo risk simulation run sequentially
-   and on a 4-domain Exec pool. Year_sim pre-splits one RNG stream per
-   fixed-size chunk of years in chunk order, so the pool width is pure
-   scheduling — the section proves the identity (the full yearly arrays,
-   not just the aggregates) and then reports the speedup. CI's
+   and on a 4-domain Exec pool. Year_sim's nominal run pre-splits one RNG
+   stream per fixed-size chunk of years in chunk order, so the pool width
+   is pure scheduling — the section proves the identity (the full
+   per-year samples, not just the aggregates) and then reports the
+   speedup. CI's
    bench-smoke job gates on "year_sim parallel" not being slower than
    "year_sim sequential". *)
 let year_sim_speedup () =
@@ -387,7 +388,7 @@ let year_sim_speedup () =
   in
   let sequential = run "year_sim sequential" 1 in
   let parallel = run "year_sim parallel" 4 in
-  if sequential.Risk.Year_sim.years <> parallel.Risk.Year_sim.years then begin
+  if sequential.Risk.Year_sim.samples <> parallel.Risk.Year_sim.samples then begin
     prerr_endline
       "FATAL: Exec pool changed the Monte Carlo sample (yearly results \
        differ between 1 and 4 domains)";

@@ -135,6 +135,9 @@ module Heuristics = struct
   module Tabu = Ds_heuristics.Tabu
 end
 
+(** Risk beyond the expected penalty: [Tail_sim] is the one year
+    sampler (importance sampling, SLA certification) and [Year_sim]
+    reads annual-penalty percentiles off its untilted nominal run. *)
 module Risk = struct
   module Year_sim = Ds_risk.Year_sim
   module Tail_sim = Ds_risk.Tail_sim
@@ -148,16 +151,19 @@ module Trace = struct
 end
 
 module Exec = Ds_exec.Exec
-(** Deterministic domain-pool executor. [Exec.create ~domains:4 ()] gives
-    a pool you can hand to [Risk.Year_sim.simulate ~pool] or set on
-    experiment budgets via [Experiments.Budgets.with_domains]; every
-    consumer's results are identical at any width (DESIGN.md Â§10). *)
+(** Deterministic domain-pool executor: one map, [Exec.map] (and
+    [Exec.map_rng], which pre-splits one RNG stream per task first).
+    [Exec.create ~domains:4 ()] gives a pool you can hand to
+    [Risk.Tail_sim.simulate ~pool] or [Risk.Year_sim.simulate ~pool],
+    or set on experiment budgets via
+    [Experiments.Budgets.with_domains]; every consumer's results are
+    identical at any width (DESIGN.md §10). *)
 
 module Obs = Ds_obs.Obs
 (** Observability capability: metrics, span tracing and solver progress.
     Pass [~obs:(Obs.create ~metrics:true ())] (or any sink combination)
     to [Solver.Design_solver.solve], [Experiments.Compare.run],
-    [Risk.Year_sim.simulate], [Sim.Engine.create] and friends; the
+    [Risk.Tail_sim.simulate], [Sim.Engine.create] and friends; the
     default everywhere is the cost-free noop sink. *)
 
 module Experiments = Ds_experiments

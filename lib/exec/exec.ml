@@ -1,5 +1,8 @@
 module Rng = Ds_prng.Rng
 module Obs = Ds_obs.Obs
+module Metrics = Obs.Metrics
+
+let now_s = Metrics.now_s
 
 (* Stage-aware width policy: per map label, remember the observed
    per-task cost (an EWMA of busy seconds per task) and size the next
@@ -31,7 +34,9 @@ let sequential = { domains = 1; auto = None }
    amortize it. *)
 let auto_width ?(threshold_s = 1e-3) pool =
   if threshold_s <= 0. then invalid_arg "Exec.auto_width: threshold must be > 0";
-  { pool with auto = Some { threshold_s; costs = Atomic.make [] } }
+  (* A one-domain pool can never widen, so it has nothing to learn. *)
+  if pool.domains = 1 then pool
+  else { pool with auto = Some { threshold_s; costs = Atomic.make [] } }
 
 let domains pool = pool.domains
 
@@ -71,75 +76,6 @@ let width_for pool ~label ~tasks =
         if projected < cm.threshold_s then 1
         else min full (max 1 (int_of_float (projected /. cm.threshold_s)))
     end
-
-let worker_obs pool ~tasks obs =
-  if workers pool ~tasks > 1 then Obs.without_trace obs else obs
-
-(* [mapi] at an explicit width [w] (<= workers pool ~tasks). The width
-   is pure scheduling: results land by task index whatever [w] is. *)
-let mapi_w w f tasks =
-  let n = Array.length tasks in
-  if w = 1 then Array.mapi f tasks
-  else begin
-    (* Slot [i] belongs to task [i] alone: the strided schedule below
-       assigns disjoint index sets to the domains, so the two arrays
-       are written race-free without locks. *)
-    let results = Array.make n None in
-    let failures = Array.make n None in
-    let run_one i =
-      match f i tasks.(i) with
-      | v -> results.(i) <- Some v
-      | exception e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
-    in
-    (* Strided assignment: domain [k] runs tasks [k], [k + w], ... The
-       coordinator takes stride 0. Which domain runs which task is
-       irrelevant to the output — results land by task index. *)
-    let stride k =
-      let i = ref k in
-      while !i < n do
-        run_one !i;
-        i := !i + w
-      done
-    in
-    let spawned =
-      List.init (w - 1) (fun j -> Domain.spawn (fun () -> stride (j + 1)))
-    in
-    stride 0;
-    List.iter Domain.join spawned;
-    Array.iter
-      (function
-        | Some (e, backtrace) -> Printexc.raise_with_backtrace e backtrace
-        | None -> ())
-      failures;
-    Array.map Option.get results
-  end
-
-let mapi pool f tasks = mapi_w (workers pool ~tasks:(Array.length tasks)) f tasks
-
-let map pool f tasks = mapi pool (fun _ x -> f x) tasks
-
-let map_rng pool ~rng f tasks =
-  let n = Array.length tasks in
-  (* Pre-split in index order on the calling domain: every task's
-     stream is fixed here, before any task runs anywhere. *)
-  let rngs = Array.make n rng in
-  for i = 0 to n - 1 do
-    rngs.(i) <- Rng.split rng
-  done;
-  mapi pool (fun i x -> f rngs.(i) x) tasks
-
-let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
-
-(* ------------------------------------------------------------------ *)
-(* Observed maps: the same schedule, plus pool accounting and          *)
-(* per-domain trace lanes.                                             *)
-(* ------------------------------------------------------------------ *)
-
-let instrumented obs = Obs.metrics_on obs || Obs.trace obs <> None
-
-module Metrics = Obs.Metrics
-
-let now_s = Metrics.now_s
 
 (* Pool-accounting instruments, pre-resolved once per metrics registry:
    the solvers run thousands of instrumented maps per second, and
@@ -199,7 +135,7 @@ let acct_instruments reg =
    worker has joined — observers never race, and the emission order is
    deterministic. *)
 type acct = {
-  busy : float array;  (* per worker: summed task run time *)
+  busy : float array;  (* per worker: wall time of its stride *)
   tasks_run : int array;
   minor : float array;  (* per worker: Gc.quick_stat deltas *)
   major : float array;
@@ -207,7 +143,10 @@ type acct = {
   major_col : int array;
 }
 
-let emit_acct ai a ~w ~wall ~spawn_s ~join_s =
+let emit_acct ai a ~n ~w ~wall ~spawn_s ~join_s =
+  Metrics.incr ai.maps_c;
+  Metrics.add ai.tasks_c n;
+  Metrics.gauge_max ai.workers_max_g (float_of_int w);
   Metrics.observe ai.map_wall_h wall;
   (match spawn_s with Some s -> Metrics.observe ai.spawn_h s | None -> ());
   (match join_s with Some s -> Metrics.observe ai.join_h s | None -> ());
@@ -237,146 +176,123 @@ let emit_acct ai a ~w ~wall ~spawn_s ~join_s =
   Metrics.add ai.minor_col_c !minor_col;
   Metrics.add ai.major_col_c !major_col
 
-let mapi_obs pool ?(label = "exec.map") ~obs f tasks =
+(* A task's slot in the result array. Slot [i] belongs to task [i]
+   alone: the strided schedule assigns disjoint index sets to the
+   workers, so the array is written race-free without locks. *)
+type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
+
+(* The one schedule. Worker [k] runs tasks [k], [k + w], ... on its own
+   domain (the coordinator takes stride 0), under its own trace lane,
+   timing its stride and its Gc delta into slot [k] of [a]. Everything
+   the caller sees (results, the re-raised failure, accounting, the
+   learned cost) is read back in index order after every domain joins,
+   so the width [w] is pure scheduling. *)
+let run_strided pool ~label ~obs ~traced ~w f tasks =
   let n = Array.length tasks in
-  if n = 0 then [||]
-  else if not (instrumented obs) then begin
-    match pool.auto with
-    | None -> mapi pool (fun i x -> f obs i x) tasks
-    | Some cm ->
-      (* No instruments to learn from, so time the map itself: total
-         busy is roughly [wall x width] on a balanced strided schedule,
-         which is what the bench path (noop observers) runs on. *)
-      let w = width_for pool ~label ~tasks:n in
-      let t0 = now_s () in
-      let r = mapi_w w (fun i x -> f obs i x) tasks in
-      note_cost cm label
-        ((now_s () -. t0) *. float_of_int w /. float_of_int n);
-      r
-  end
+  let slots = Array.make n Pending in
+  let a =
+    { busy = Array.make w 0.;
+      tasks_run = Array.make w 0;
+      minor = Array.make w 0.;
+      major = Array.make w 0.;
+      minor_col = Array.make w 0;
+      major_col = Array.make w 0 }
+  in
+  let stride wobs k =
+    let gc0 = Gc.quick_stat () in
+    let t0 = now_s () in
+    let run () =
+      let i = ref k in
+      while !i < n do
+        let idx = !i in
+        (match
+           if traced then
+             Obs.with_span wobs ~args:[ ("task", string_of_int idx) ] "task"
+               (fun () -> f wobs idx tasks.(idx))
+           else f wobs idx tasks.(idx)
+         with
+         | v -> slots.(idx) <- Done v
+         | exception e ->
+           slots.(idx) <- Failed (e, Printexc.get_raw_backtrace ()));
+        i := idx + w
+      done
+    in
+    if traced then
+      Obs.with_span wobs ~args:[ ("worker", string_of_int k) ] "worker" run
+    else run ();
+    a.busy.(k) <- now_s () -. t0;
+    a.tasks_run.(k) <- (n - k + w - 1) / w;
+    let gc1 = Gc.quick_stat () in
+    a.minor.(k) <- gc1.Gc.minor_words -. gc0.Gc.minor_words;
+    a.major.(k) <- gc1.Gc.major_words -. gc0.Gc.major_words;
+    a.minor_col.(k) <- gc1.Gc.minor_collections - gc0.Gc.minor_collections;
+    a.major_col.(k) <- gc1.Gc.major_collections - gc0.Gc.major_collections
+  in
+  let t_region = now_s () in
+  let spawn_s, join_s =
+    if w = 1 then begin
+      stride obs 0;
+      (None, None)
+    end
+    else begin
+      (* Lanes are forked here, while [label]'s span is open, so worker
+         spans root under it; they merge back after every join, in
+         worker-index order. *)
+      let lanes =
+        Array.init (w - 1) (fun j -> Obs.fork_lane obs ~tid:(j + 2))
+      in
+      let t_spawn = now_s () in
+      let spawned =
+        Array.mapi
+          (fun j (wobs, _) -> Domain.spawn (fun () -> stride wobs (j + 1)))
+          lanes
+      in
+      let spawn_s = now_s () -. t_spawn in
+      stride obs 0;
+      let t_join = now_s () in
+      Array.iter Domain.join spawned;
+      Array.iter (fun (_, lane) -> Obs.merge_lane obs lane) lanes;
+      (Some spawn_s, Some (now_s () -. t_join))
+    end
+  in
+  (match Obs.metrics obs with
+   | Some reg ->
+     emit_acct (acct_instruments reg) a ~n ~w ~wall:(now_s () -. t_region)
+       ~spawn_s ~join_s
+   | None -> ());
+  (* Busy seconds per task is the one cost signal: idle and spawn/join
+     overhead are excluded, so the estimate is width-independent. *)
+  (match pool.auto with
+   | Some cm ->
+     note_cost cm label (Array.fold_left ( +. ) 0. a.busy /. float_of_int n)
+   | None -> ());
+  (* [Array.map] walks in index order: the lowest-index failure raises. *)
+  Array.map
+    (function
+      | Done v -> v
+      | Failed (e, backtrace) -> Printexc.raise_with_backtrace e backtrace
+      | Pending -> assert false)
+    slots
+
+let map pool ?(label = "exec.map") ?(obs = Obs.noop) f tasks =
+  let n = Array.length tasks in
+  let traced = Option.is_some (Obs.trace obs) in
+  if pool.domains = 1 && not (traced || Obs.metrics_on obs) then
+    Array.mapi (f obs) tasks
+  else if n = 0 then [||]
   else begin
     let w = width_for pool ~label ~tasks:n in
-    let ai =
-      match Obs.metrics obs with
-      | Some reg -> Some (acct_instruments reg)
-      | None -> None
-    in
-    (match ai with
-     | Some ai ->
-       Metrics.incr ai.maps_c;
-       Metrics.add ai.tasks_c n;
-       Metrics.gauge_max ai.workers_max_g (float_of_int w)
-     | None -> ());
-    Obs.with_span obs
-      ~args:[ ("tasks", string_of_int n); ("workers", string_of_int w) ]
-      label
-      (fun () ->
-         let results = Array.make n None in
-         let failures = Array.make n None in
-         let a =
-           { busy = Array.make w 0.;
-             tasks_run = Array.make w 0;
-             minor = Array.make w 0.;
-             major = Array.make w 0.;
-             minor_col = Array.make w 0;
-             major_col = Array.make w 0 }
-         in
-         (* Runs on worker [k]'s own domain under that worker's lane
-            capability; busy time and Gc deltas land in slot [k]. *)
-         let run_one wobs k i =
-           let t0 = now_s () in
-           (match
-              Obs.with_span wobs
-                ~args:[ ("task", string_of_int i) ]
-                "task"
-                (fun () -> f wobs i tasks.(i))
-            with
-            | v -> results.(i) <- Some v
-            | exception e ->
-              failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-           a.busy.(k) <- a.busy.(k) +. (now_s () -. t0);
-           a.tasks_run.(k) <- a.tasks_run.(k) + 1
-         in
-         let stride wobs k =
-           let gc0 = Gc.quick_stat () in
-           Obs.with_span wobs
-             ~args:[ ("worker", string_of_int k) ]
-             "worker"
-             (fun () ->
-                let i = ref k in
-                while !i < n do
-                  run_one wobs k !i;
-                  i := !i + w
-                done);
-           let gc1 = Gc.quick_stat () in
-           a.minor.(k) <- gc1.Gc.minor_words -. gc0.Gc.minor_words;
-           a.major.(k) <- gc1.Gc.major_words -. gc0.Gc.major_words;
-           a.minor_col.(k) <-
-             gc1.Gc.minor_collections - gc0.Gc.minor_collections;
-           a.major_col.(k) <-
-             gc1.Gc.major_collections - gc0.Gc.major_collections
-         in
-         let t_region = now_s () in
-         let emit ~wall ~spawn_s ~join_s =
-           match ai with
-           | Some ai -> emit_acct ai a ~w ~wall ~spawn_s ~join_s
-           | None -> ()
-         in
-         if w = 1 then begin
-           stride obs 0;
-           emit ~wall:(now_s () -. t_region) ~spawn_s:None ~join_s:None
-         end
-         else begin
-           (* Lanes are created here, while [label]'s span is open, so
-              worker spans root under it; the coordinator (worker 0)
-              records straight into the caller's collector, same
-              thread. Merging runs after every join, in worker-index
-              order — deterministic span list, no concurrent access. *)
-           let lanes =
-             Array.init w (fun k ->
-                 if k = 0 then (obs, None) else Obs.fork_lane obs ~tid:(k + 1))
-           in
-           let t_spawn = now_s () in
-           let spawned =
-             List.init (w - 1) (fun j ->
-                 let wobs, _ = lanes.(j + 1) in
-                 Domain.spawn (fun () -> stride wobs (j + 1)))
-           in
-           let spawn_s = now_s () -. t_spawn in
-           stride obs 0;
-           let t_join = now_s () in
-           List.iter Domain.join spawned;
-           for k = 1 to w - 1 do
-             Obs.merge_lane obs (snd lanes.(k))
-           done;
-           let t_end = now_s () in
-           emit ~wall:(t_end -. t_region) ~spawn_s:(Some spawn_s)
-             ~join_s:(Some (t_end -. t_join))
-         end;
-         (match pool.auto with
-          | Some cm ->
-            (* Busy time is the exact per-task cost signal — idle and
-               spawn/join overhead are deliberately excluded so the
-               estimate stays width-independent. *)
-            note_cost cm label
-              (Array.fold_left ( +. ) 0. a.busy /. float_of_int n)
-          | None -> ());
-         Array.iter
-           (function
-             | Some (e, backtrace) ->
-               Printexc.raise_with_backtrace e backtrace
-             | None -> ())
-           failures;
-         Array.map Option.get results)
+    let region () = run_strided pool ~label ~obs ~traced ~w f tasks in
+    if traced then
+      Obs.with_span obs
+        ~args:[ ("tasks", string_of_int n); ("workers", string_of_int w) ]
+        label region
+    else region ()
   end
 
-let map_rng_obs pool ?label ~obs ~rng f tasks =
-  let n = Array.length tasks in
-  (* Same pre-split contract as {!map_rng}: streams are fixed in
-     task-index order before anything runs, and the accounting above
-     never draws from them — instrumentation cannot steer results. *)
-  let rngs = Array.make n rng in
-  for i = 0 to n - 1 do
-    rngs.(i) <- Rng.split rng
-  done;
-  mapi_obs pool ?label ~obs (fun wobs i x -> f wobs rngs.(i) x) tasks
+let map_rng pool ?label ?obs ~rng f tasks =
+  (* Pre-split in index order on the calling domain: every task's
+     stream is fixed here, before any task runs anywhere, and nothing
+     below draws from [rng]. *)
+  let rngs = Array.init (Array.length tasks) (fun _ -> Rng.split rng) in
+  map pool ?label ?obs (fun wobs i x -> f wobs rngs.(i) x) tasks

@@ -4,7 +4,7 @@
     the Monte Carlo year simulation, the experiment sweeps) has the same
     shape: a fixed array of independent tasks whose results must not
     depend on how they are scheduled. This module owns that contract
-    once, instead of each layer re-deriving it by hand:
+    once, in one map, instead of each layer re-deriving it by hand:
 
     - {b RNG pre-splitting.} {!map_rng} splits one generator per task
       off the caller's stream {e in task-index order, before any task
@@ -14,18 +14,15 @@
       the input: position [i] holds task [i]'s result, whatever the
       schedule. Callers that fold results do so in task-index order,
       making tie-breaking schedule-independent.
-    - {b Trace-stripped observability.} {!worker_obs} strips the span
-      collector (which assumes single-threaded nesting) from a
-      capability exactly when the pool will actually run tasks off the
-      calling domain; metrics and progress sinks are domain-safe and
-      stay on.
+    - {b Per-worker observability.} Task [i] runs under its worker's
+      capability: the caller's own on the calling domain, a trace-lane
+      fork of it on every other domain (metrics and progress sinks are
+      domain-safe and shared).
     - {b Exception capture.} A task that raises does not tear down a
       worker domain mid-pool: exceptions are caught where they occur
       and re-raised on the calling domain after every domain joins —
       the lowest-index failure wins, with its original backtrace.
-      Which {e other} tasks ran by then is unspecified (a sequential
-      pool stops at the failure; a parallel pool has already started
-      later tasks).
+      Which {e other} tasks ran by then is unspecified.
 
     The contract, identical to the parallel refit's (DESIGN.md §10):
     {b the domain count is pure scheduling — a fixed seed yields
@@ -42,24 +39,23 @@ type pool
 
 val create : ?domains:int -> unit -> pool
 (** [create ~domains ()] makes a pool of at most [domains] workers
-    (default [1]). [domains = 1] degrades every map below to a plain
-    sequential loop with zero [Domain.spawn].
+    (default [1]). [domains = 1] degrades {!map} to a plain sequential
+    loop on the calling domain.
     @raise Invalid_argument when [domains < 1]. *)
 
 val sequential : pool
 (** [create ~domains:1 ()]. *)
 
 val auto_width : ?threshold_s:float -> pool -> pool
-(** [auto_width pool] turns on stage-aware width auto-sizing for the
-    {e observed} maps ({!mapi_obs}, {!map_rng_obs}): per map [label],
-    the pool remembers the observed per-task cost (an EWMA of busy
-    seconds per task) and sizes the next map of that label so each
-    worker's projected share is around [threshold_s] seconds (default
-    [1e-3], about 10x a domain spawn/join round trip). A label's first
-    map runs at full width and learns; later maps whose projected
-    serial time falls under the threshold clamp to one worker and pay
-    zero spawn/join. Unlabeled/plain maps ({!map}, {!mapi},
-    {!map_rng}) always run at full width.
+(** [auto_width pool] turns on stage-aware width auto-sizing: per map
+    [label], the pool remembers the observed per-task cost (an EWMA of
+    busy seconds per task) and sizes the next map of that label so
+    each worker's projected share is around [threshold_s] seconds
+    (default [1e-3], about 10x a domain spawn/join round trip). A
+    label's first map runs at full width and learns; later maps whose
+    projected serial time falls under the threshold clamp to one
+    worker and pay zero spawn/join. A one-domain pool is returned
+    as is: its width can never change, so there is nothing to learn.
 
     Width is pure scheduling — the strided schedule, pre-split RNG and
     index-order merges make every width byte-identical — so the
@@ -70,53 +66,42 @@ val auto_width : ?threshold_s:float -> pool -> pool
     @raise Invalid_argument when [threshold_s <= 0]. *)
 
 val width_for : pool -> label:string -> tasks:int -> int
-(** The width the pool would give an observed map of [tasks] tasks
-    under [label] right now: [workers pool ~tasks] for non-auto pools
-    or unknown labels, else the learned clamp (1 when the projected
+(** The width the pool would give a map of [tasks] tasks under
+    [label] right now: [workers pool ~tasks] for non-auto pools or
+    unknown labels, else the learned clamp (1 when the projected
     serial time is under the threshold). Exposed for tests; the
     estimate moves as maps run. *)
 
 val domains : pool -> int
 
 val workers : pool -> tasks:int -> int
-(** The number of domains a map over [tasks] tasks will actually use:
+(** The number of domains a map over [tasks] tasks may use:
     [max 1 (min (domains pool) tasks)] — never more domains than
     tasks. *)
 
-val worker_obs : pool -> tasks:int -> Obs.t -> Obs.t
-(** The observability capability tasks should run under: [obs]
-    unchanged when [workers pool ~tasks = 1] (single-threaded, spans
-    nest fine), {!Ds_obs.Obs.without_trace} otherwise. Instrumentation
-    never draws RNG, so this cannot steer results. *)
+val map :
+  pool ->
+  ?label:string ->
+  ?obs:Obs.t ->
+  (Obs.t -> int -> 'a -> 'b) ->
+  'a array ->
+  'b array
+(** [map pool ~obs f tasks] is [Array.mapi (f obs) tasks], scheduled
+    across up to [workers pool ~tasks] domains with a strided schedule
+    (worker [k] runs tasks [k], [k + w], ...). Task [i] runs as
+    [f wobs i tasks.(i)] under its worker's capability [wobs]; tasks
+    must not share mutable state unless that state is domain-safe.
+    [label] (default ["exec.map"]) names the region span and keys the
+    width learning of {!auto_width} pools; [obs] defaults to
+    {!Ds_obs.Obs.noop}. A one-domain pool with an all-off [obs] is
+    exactly [Array.mapi (f obs) tasks].
 
-val map : pool -> ('a -> 'b) -> 'a array -> 'b array
-(** [map pool f tasks] is [Array.map f tasks], scheduled across
-    [workers pool ~tasks] domains. [(map pool f tasks).(i) = f tasks.(i)]
-    for every [i]; tasks must not share mutable state unless that state
-    is domain-safe. *)
-
-val mapi : pool -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
-val map_rng : pool -> rng:Rng.t -> (Rng.t -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_rng pool ~rng f tasks] first advances [rng] by splitting one
-    independent stream per task (in task-index order, on the calling
-    domain), then maps [f stream.(i) tasks.(i)] like {!map}. The
-    per-task draws are therefore a function of [rng]'s state and the
-    task count alone — never of the domain count. *)
-
-val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list, preserving order. *)
-
-(** {1 Observed maps}
-
-    The same deterministic schedule, plus pool accounting and
-    per-domain trace lanes. With an all-off capability these delegate
-    to the plain maps above (zero overhead); with sinks attached they
-    additionally record, per map, into [obs]'s registry:
+    With sinks attached, each map also records, from the calling
+    domain after the join:
 
     - counters [exec.maps], [exec.tasks] (submitted),
-      [exec.tasks_completed], [exec.minor_collections],
-      [exec.major_collections];
+      [exec.tasks_completed] (failed tasks included),
+      [exec.minor_collections], [exec.major_collections];
     - gauges [exec.workers_max] (running maximum pool width),
       [exec.minor_words] / [exec.major_words] (accumulated Gc deltas
       across workers);
@@ -133,36 +118,19 @@ val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
     domains record into per-lane collectors ({!Ds_obs.Obs.fork_lane},
     one [tid] per domain) that are merged back in worker-index order
     after every domain joins, so Chrome export shows one lane per
-    domain and the merge order — hence the exported span list — is
-    deterministic.
+    domain and the exported span list is deterministic. None of this
+    draws RNG. *)
 
-    Accounting is collected into per-worker slots (disjoint, like the
-    result array) and emitted from the calling domain after the join,
-    and it never draws RNG: the fixed-seed result contract is exactly
-    that of the plain maps. *)
-
-val mapi_obs :
+val map_rng :
   pool ->
   ?label:string ->
-  obs:Obs.t ->
-  (Obs.t -> int -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** [mapi_obs pool ~obs f tasks] is {!mapi} where task [i] runs as
-    [f wobs i tasks.(i)] under its worker's capability [wobs] — the
-    caller's [obs] on the coordinator, a trace-lane fork of it on
-    spawned domains (metrics and progress sinks are shared; they are
-    domain-safe). [label] names the region span (default
-    ["exec.map"]). *)
-
-val map_rng_obs :
-  pool ->
-  ?label:string ->
-  obs:Obs.t ->
+  ?obs:Obs.t ->
   rng:Rng.t ->
   (Obs.t -> Rng.t -> 'a -> 'b) ->
   'a array ->
   'b array
-(** {!map_rng} with the same worker-capability plumbing as
-    {!mapi_obs}: streams are pre-split in task-index order before
-    anything runs, and the accounting never draws from them. *)
+(** [map_rng pool ~rng f tasks] first advances [rng] by splitting one
+    independent stream per task (in task-index order, on the calling
+    domain), then runs [f wobs stream.(i) tasks.(i)] through {!map}.
+    The per-task draws are therefore a function of [rng]'s state and
+    the task count alone — never of the domain count or of [obs]. *)

@@ -1,4 +1,5 @@
 module Design_solver = Ds_solver.Design_solver
+module Exec = Ds_exec.Exec
 
 type t = {
   solver : Design_solver.params;
@@ -40,6 +41,10 @@ let with_domains t domains =
   { t with domains; solver = { t.solver with Design_solver.domains } }
 
 let sequential t = with_domains t 1
+
+let sweep t =
+  let pool = Exec.auto_width (Exec.create ~domains:(max 1 t.domains) ()) in
+  (pool, if Exec.domains pool > 1 then sequential t else t)
 
 let with_portfolio ?(race = false) ?max_evaluations t restarts =
   if restarts < 1 then invalid_arg "Budgets.with_portfolio: restarts >= 1";

@@ -47,6 +47,12 @@ val sequential : t -> t
 (** [with_domains t 1]: the budgets with all parallelism stripped —
     what experiments hand to work items already running on a pool. *)
 
+val sweep : t -> Ds_exec.Exec.pool * t
+(** [sweep t] is the auto-width pool {!field-domains} wide that an
+    experiment schedules its work items on, paired with the budgets
+    each item runs under: {!sequential} [t] when the pool is parallel
+    (the parallelism lives at one level only), [t] itself otherwise. *)
+
 val with_portfolio : ?race:bool -> ?max_evaluations:int -> t -> int -> t
 (** [with_portfolio t n] gives every randomized arm an [n]-restart
     portfolio budget ([dstool compare --restarts]).

@@ -63,12 +63,7 @@ let arm_count = List.length arm_seed_offsets
 let run ?(budgets = Budgets.default) ?(metaheuristics = false)
     ?(obs = Obs.noop) env apps likelihood =
   let seed = budgets.Budgets.solver.Design_solver.seed in
-  let pool = Exec.auto_width (Exec.create ~domains:(max 1 budgets.Budgets.domains) ()) in
-  (* Arms scheduled on a parallel pool run their solvers single-domain:
-     the parallelism lives at one level only. *)
-  let inner =
-    if Exec.domains pool > 1 then Budgets.sequential budgets else budgets
-  in
+  let pool, inner = Budgets.sweep budgets in
   let restarts = max 1 budgets.Budgets.restarts in
   let arms =
     [ ( "design tool",
@@ -108,7 +103,7 @@ let run ?(budgets = Budgets.default) ?(metaheuristics = false)
                    env apps likelihood)
                   .Heuristic_result.best) ) ]
   in
-  Exec.mapi_obs pool ~label:"compare.arms" ~obs
+  Exec.map pool ~label:"compare.arms" ~obs
     (fun wobs _ (label, arm) -> of_candidate label (arm wobs))
     (Array.of_list arms)
   |> Array.to_list

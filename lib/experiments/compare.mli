@@ -31,8 +31,9 @@ val run :
 
     Arms are scheduled on an [Exec] pool [budgets.domains] wide (results
     are identical at every width; merge order is arm order). On a
-    parallel pool each arm's own solver runs single-domain and [obs] is
-    trace-stripped ([Exec.worker_obs]).
+    parallel pool each arm's own solver runs single-domain
+    ({!Budgets.sweep}) and records its spans into its worker's trace
+    lane.
 
     With [budgets.restarts > 1] every randomized arm gets the same
     restart budget: the design-tool arm becomes a

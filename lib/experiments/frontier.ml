@@ -28,12 +28,9 @@ let scale_app factor (app : App.t) =
 
 let run ?(budgets = Budgets.default) ?(multipliers = default_multipliers) env
     apps likelihood =
-  let pool = Exec.auto_width (Exec.create ~domains:(max 1 budgets.Budgets.domains) ()) in
-  let inner =
-    if Exec.domains pool > 1 then Budgets.sequential budgets else budgets
-  in
-  Exec.map_list pool
-    (fun aversion ->
+  let pool, inner = Budgets.sweep budgets in
+  Exec.map pool
+    (fun _ _ aversion ->
        let scaled = List.map (scale_app aversion) apps in
        match
          Design_solver.solve ~params:inner.Budgets.solver env scaled
@@ -59,8 +56,8 @@ let run ?(budgets = Budgets.default) ?(multipliers = default_multipliers) env
                    true_penalty =
                      Money.add eval.Evaluate.penalty.Penalty.outage_total
                        eval.Evaluate.penalty.Penalty.loss_total })))
-    multipliers
-  |> List.filter_map Fun.id
+    (Array.of_list multipliers)
+  |> Array.to_list |> List.filter_map Fun.id
 
 let run_peer ?budgets () =
   run ?budgets (Envs.peer_sites ()) (Envs.peer_apps ()) Likelihood.default

@@ -118,8 +118,7 @@ let best = function
   | Single o -> o.Design_solver.best
   | Portfolio r -> r.Search.best
 
-let default_pool (b : Budgets.t) =
-  Exec.auto_width (Exec.create ~domains:(max 1 b.Budgets.domains) ())
+let default_pool b = fst (Budgets.sweep b)
 
 let run_solve ?memo ?pool ?obs (r : solve) =
   let b = r.budget in
@@ -185,8 +184,8 @@ let run_risk ?memo ?pool ?obs (r : risk) =
   let year_sim =
     Year_sim.simulate ~years:r.years ?obs ~pool rng provision s.likelihood
   in
-  (* The tail stream splits off the generator after the naive run:
-     Year_sim pre-splits one stream per chunk, so the parent has advanced
+  (* The tail stream splits off the generator after the nominal run,
+     which pre-splits one stream per chunk, so the parent has advanced
      by a fixed (years-dependent, pool-independent) amount and the tail
      sample stays byte-identical at every pool width. *)
   let* tail =

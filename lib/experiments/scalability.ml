@@ -40,14 +40,11 @@ let rate ~apps ~seconds =
 
 let run ?(budgets = Budgets.default) ?(rounds = [ 1; 2; 3; 4; 5 ]) () =
   let env = Envs.quad_sites () in
-  let pool = Exec.auto_width (Exec.create ~domains:(max 1 budgets.Budgets.domains) ()) in
   (* Rounds are the outer unit of work; each round's Compare (and the
      solvers underneath) runs sequentially when the pool is parallel. *)
-  let inner =
-    if Exec.domains pool > 1 then Budgets.sequential budgets else budgets
-  in
-  Exec.map_list pool
-    (fun round ->
+  let pool, inner = Budgets.sweep budgets in
+  Exec.map pool
+    (fun _ _ round ->
        let apps = Envs.scaled_apps ~rounds:round in
        let started = Metrics.now_s () in
        let entries = Compare.run ~budgets:inner env apps Likelihood.default in
@@ -59,7 +56,8 @@ let run ?(budgets = Budgets.default) ?(rounds = [ 1; 2; 3; 4; 5 ]) () =
          human = total_of entries "human";
          seconds;
          apps_per_sec = rate ~apps ~seconds })
-    rounds
+    (Array.of_list rounds)
+  |> Array.to_list
 
 type fleet_point = {
   apps : int;

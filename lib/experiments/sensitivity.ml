@@ -41,12 +41,9 @@ let run ?(budgets = Budgets.default) ?rates ?(apps = 16) axis =
   let env = Envs.quad_sites () in
   let rounds = (apps + 3) / 4 in
   let workloads = Envs.scaled_apps ~rounds in
-  let pool = Exec.auto_width (Exec.create ~domains:(max 1 budgets.Budgets.domains) ()) in
-  let inner =
-    if Exec.domains pool > 1 then Budgets.sequential budgets else budgets
-  in
-  Exec.map_list pool
-    (fun rate ->
+  let pool, inner = Budgets.sweep budgets in
+  Exec.map pool
+    (fun _ _ rate ->
        let likelihood = likelihood_for axis rate in
        let summary =
          Design_solver.solve ~params:inner.Budgets.solver env workloads
@@ -54,4 +51,5 @@ let run ?(budgets = Budgets.default) ?rates ?(apps = 16) axis =
          |> Option.map (fun o -> Candidate.summary o.Design_solver.best)
        in
        { rate; summary })
-    rates
+    (Array.of_list rates)
+  |> Array.to_list

@@ -330,7 +330,7 @@ let solve ?(params = Design_solver.default_params) ?shards
   let inner = inner_params params in
   let rng = Rng.of_int params.Design_solver.seed in
   let outcomes =
-    Exec.map_rng_obs pool ~label:"fleet.shard" ~obs ~rng
+    Exec.map_rng pool ~label:"fleet.shard" ~obs ~rng
       (fun wobs srng shard ->
          Design_solver.solve ~params:inner ~obs:wobs ~rng:srng shard.env
            shard.apps likelihood)
@@ -367,7 +367,7 @@ let resolve ?(params = Design_solver.default_params)
     let inner = inner_params params in
     let rng = Rng.of_int params.Design_solver.seed in
     let outcomes =
-      Exec.map_rng_obs pool ~label:"fleet.shard" ~obs ~rng
+      Exec.map_rng pool ~label:"fleet.shard" ~obs ~rng
         (fun wobs srng shard ->
            let prev = previous.(shard.index) in
            let shard_dirty =

@@ -18,7 +18,7 @@
     byte-for-byte.
 
     {b Determinism} (the DESIGN.md §10 discipline): shard solves run
-    through [Exec.map_rng_obs] — RNG streams pre-split in shard-index
+    through [Exec.map_rng] — RNG streams pre-split in shard-index
     order before any shard runs, results merged in shard index order —
     with each inner solver single-domain; everything after the parallel
     join (merge, eviction, fix-up) is sequential on the calling domain.

@@ -27,8 +27,6 @@ let metrics t = t.metrics
 let trace t = t.trace
 let progress t = t.progress
 
-let without_trace t = if t.trace = None then t else { t with trace = None }
-
 let fork_lane t ~tid =
   match t.trace with
   | None -> (t, None)

@@ -45,14 +45,6 @@ val metrics_on : t -> bool
 (** [true] when a metrics registry is attached — guard for hooks that
     would otherwise build instrument names on the hot path. *)
 
-val without_trace : t -> t
-(** The same capability with the span collector removed. {!Metrics}
-    instruments are domain-safe, but {!Trace} spans nest by dynamic
-    scope on a single thread of control — code that runs on worker
-    domains (the design solver's parallel refit probes) takes this
-    stripped capability so concurrent spans cannot corrupt the
-    collector. Metrics and progress sinks are untouched. *)
-
 val fork_lane : t -> tid:int -> t * Trace.collector option
 (** A worker-domain capability: same (domain-safe) metrics and progress
     sinks, but its own {!Trace.worker} lane collector tagged [tid] in

@@ -52,10 +52,10 @@ type t = {
 }
 
 (* Per-scenario event model, computed once from the deterministic
-   recovery simulation (like Year_sim): each event of scenario [i]
-   charges [cost] dollars of penalty and [down] hours of user-visible
-   outage (the worst affected application's recovery time, capped at a
-   year — [Money]'s own penalty cap). *)
+   recovery simulation: each event of scenario [i] charges [cost]
+   dollars of penalty and [down] hours of user-visible outage (the
+   worst affected application's recovery time, capped at a year —
+   [Money]'s own penalty cap). *)
 type event_model = {
   rate : float;
   cls : Scenario.scope_class;
@@ -88,18 +88,22 @@ let estimate_over ~z ?(lo = Float.neg_infinity) ?(hi = Float.infinity) strata
     (fun s (chunk : year_sample array) ->
        let n = Array.length chunk in
        if n > 0 then begin
+         (* Each weighted value once, into a flat float array; plain
+            loops keep the accumulators unboxed. *)
+         let wf = Array.map (fun smp -> exp smp.log_weight *. f smp) chunk in
          let sum = ref 0. in
-         Array.iter (fun smp -> sum := !sum +. (exp smp.log_weight *. f smp)) chunk;
+         for j = 0 to n - 1 do
+           sum := !sum +. wf.(j)
+         done;
          let mean = !sum /. float_of_int n in
          let var =
            if n < 2 then 0.
            else begin
              let sq = ref 0. in
-             Array.iter
-               (fun smp ->
-                  let d = (exp smp.log_weight *. f smp) -. mean in
-                  sq := !sq +. (d *. d))
-               chunk;
+             for j = 0 to n - 1 do
+               let d = wf.(j) -. mean in
+               sq := !sq +. (d *. d)
+             done;
              !sq /. float_of_int (n - 1)
            end
          in
@@ -130,12 +134,11 @@ let ess_of samples =
              Float.neg_infinity chunk
          in
          let s1 = ref 0. and s2 = ref 0. in
-         Array.iter
-           (fun smp ->
-              let w = exp (smp.log_weight -. max_lw) in
-              s1 := !s1 +. w;
-              s2 := !s2 +. (w *. w))
-           chunk;
+         for j = 0 to Array.length chunk - 1 do
+           let w = exp (chunk.(j).log_weight -. max_lw) in
+           s1 := !s1 +. w;
+           s2 := !s2 +. (w *. w)
+         done;
          if !s2 > 0. then acc +. (!s1 *. !s1 /. !s2) else acc
        end)
     0. samples
@@ -250,48 +253,59 @@ let simulate ?params ?(years = 10_000) ?(tilt = default_tilt)
     | Scenario.Array -> 1
     | Scenario.Site -> 2
   in
+  (* With no stratum tilted (a [Nominal_only] run, or no positive-rate
+     class to tilt) every proposal is the nominal density: each year
+     weighs exactly 1, so the per-scenario ratios and the log-sum-exp
+     are skipped. The draws are the same either way. *)
+  let weighted = Array.exists (fun st -> st.tilted_class <> None) strata in
   let run_year rates counts lr terms rng =
+    (* A plain loop, not a closure over the accumulators, so the float
+       refs stay unboxed: this is the sampler's innermost loop. *)
     let total = ref 0. and down = ref 0. in
     let events = ref 0 in
     Array.fill lr 0 (Array.length lr) 0.;
-    Array.iteri
-      (fun i (m : event_model) ->
-         let k = Sample.poisson rng rates.(i) in
-         (* log (P_rate(k) / P_tilted(k)) of this scenario's count under
-            the class's global tilted rate — the same ratio whichever
-            stratum the year was drawn in. *)
-         if tilt <> 1. && m.rate > 0. then
-           lr.(class_index m.cls) <-
-             lr.(class_index m.cls)
-             +. Sample.poisson_log_weight ~rate:m.rate
-                  ~tilted:(m.rate *. tilt) k;
-         if k > 0 then begin
-           counts.(i) <- counts.(i) + k;
-           events := !events + k;
-           total := !total +. (float_of_int k *. m.cost);
-           down := !down +. (float_of_int k *. m.down)
-         end)
-      models;
+    for i = 0 to Array.length models - 1 do
+      let m = models.(i) in
+      let k = Sample.poisson rng rates.(i) in
+      (* log (P_rate(k) / P_tilted(k)) of this scenario's count under
+         the class's global tilted rate — the same ratio whichever
+         stratum the year was drawn in. *)
+      if weighted && tilt <> 1. && m.rate > 0. then
+        lr.(class_index m.cls) <-
+          lr.(class_index m.cls)
+          +. Sample.poisson_log_weight ~rate:m.rate ~tilted:(m.rate *. tilt) k;
+      if k > 0 then begin
+        counts.(i) <- counts.(i) + k;
+        events := !events + k;
+        total := !total +. (float_of_int k *. m.cost);
+        down := !down +. (float_of_int k *. m.down)
+      end
+    done;
     (* log w = -log sum_s share_s * q_s/p, via log-sum-exp. A stratum's
        log (q_s/p) is minus its class's accumulated ratio (0 for the
        nominal stratum), so with nominal present the sum is >= share_0
        and w <= 1/share_0. *)
-    let max_term = ref Float.neg_infinity in
-    Array.iteri
-      (fun s st ->
-         let r =
-           match st.tilted_class with
-           | None -> 0.
-           | Some cls -> -.lr.(class_index cls)
-         in
-         let t = log st.share +. r in
-         terms.(s) <- t;
-         if t > !max_term then max_term := t)
-      strata;
-    let sum =
-      Array.fold_left (fun acc t -> acc +. exp (t -. !max_term)) 0. terms
+    let log_weight =
+      if not weighted then 0.
+      else begin
+        let max_term = ref Float.neg_infinity in
+        Array.iteri
+          (fun s st ->
+             let r =
+               match st.tilted_class with
+               | None -> 0.
+               | Some cls -> -.lr.(class_index cls)
+             in
+             let t = log st.share +. r in
+             terms.(s) <- t;
+             if t > !max_term then max_term := t)
+          strata;
+        let sum =
+          Array.fold_left (fun acc t -> acc +. exp (t -. !max_term)) 0. terms
+        in
+        -.(!max_term +. log sum)
+      end
     in
-    let log_weight = -.(!max_term +. log sum) in
     { total = !total;
       downtime = Float.min !down hours_per_year;
       events = !events;
@@ -313,7 +327,7 @@ let simulate ?params ?(years = 10_000) ?(tilt = default_tilt)
             (Array.to_list strata)))
   in
   let results =
-    Exec.map_rng_obs pool ~label:"risk.tail.years" ~obs ~rng
+    Exec.map_rng pool ~label:"risk.tail.years" ~obs ~rng
       (fun _wobs rng (s, size) ->
          let counts = Array.make (Array.length models) 0 in
          let rates = proposal.(s) in
@@ -378,9 +392,12 @@ let downtime_exceedance ?z t hours =
   estimate_over ~z ~lo:0. ~hi:1. t.strata t.samples (fun s ->
       if s.downtime > hours then 1. else 0.)
 
+let check_quantile fn q =
+  if Float.is_nan q || q < 0. || q > 1. then
+    invalid_arg (fn ^ ": q outside [0, 1]")
+
 let tail_percentile t q =
-  if q < 0. || q > 1. then
-    invalid_arg "Tail_sim.tail_percentile: q outside [0, 1]";
+  check_quantile "Tail_sim.tail_percentile" q;
   let items = ref [] in
   Array.iteri
     (fun s (chunk : year_sample array) ->

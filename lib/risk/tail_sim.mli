@@ -60,7 +60,8 @@ module Scenario = Ds_failure.Scenario
 type strategy =
   | Nominal_only
       (** A single untilted stratum: plain Monte Carlo with unit
-          weights (useful as a control; tails stay unresolved). *)
+          weights (every [log_weight] is [0.]; tails stay unresolved).
+          {!Year_sim} is a percentile view of this run. *)
   | By_scope
       (** One untilted nominal stratum plus one tilted stratum per
           scope class that has a positive-rate scenario (in
@@ -124,10 +125,10 @@ val simulate :
   t
 (** Default 10,000 total years split evenly across the strata (earlier
     strata absorb the remainder), [tilt] 8.0, [strategy] [By_scope],
-    [z] 2.576 (a 99% two-sided normal CI). Like {!Year_sim.simulate},
-    the per-scenario recovery simulation runs once per scenario and its
-    penalties/downtime are charged per event; [obs] (a [risk.tail_sim]
-    span, [risk.tail.years] / [risk.tail.events] counters and the
+    [z] 2.576 (a 99% two-sided normal CI). The per-scenario recovery
+    simulation runs once per scenario and its penalties/downtime are
+    charged per event; [obs] (a [risk.tail_sim] span,
+    [risk.tail.years] / [risk.tail.events] counters and the
     [risk.tail.ess] / [risk.tail.ci_width] gauges) never affects the
     drawn sample. The pool only moves wall time (fixed chunks,
     pre-split streams, index-order merge).
@@ -149,7 +150,14 @@ val tail_percentile : t -> float -> Money.t
     conservative nearest-rank (they coincide on unit weights whenever
     [q * n] is integral). Weighted percentiles are self-normalized
     (ratio) estimates, so unlike {!exceedance} they carry no CI here.
-    @raise Invalid_argument outside [0, 1]. *)
+    @raise Invalid_argument outside [0, 1] (NaN included). *)
+
+val check_quantile : string -> float -> unit
+(** [check_quantile fn q] is the one range check behind every
+    percentile reader here and in {!Year_sim}: it returns when
+    [0 <= q <= 1].
+    @raise Invalid_argument ["fn: q outside [0, 1]"] otherwise, NaN
+    included. *)
 
 type verdict = Pass | Fail | Inconclusive
 

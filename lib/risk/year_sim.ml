@@ -1,22 +1,10 @@
 module Money = Ds_units.Money
 module Rng = Ds_prng.Rng
-module Sample = Ds_prng.Sample
 module Provision = Ds_design.Provision
 module Likelihood = Ds_failure.Likelihood
-module Scenario = Ds_failure.Scenario
-module Penalty = Ds_cost.Penalty
-module Simulate = Ds_recovery.Simulate
-module Obs = Ds_obs.Obs
-module Exec = Ds_exec.Exec
-
-type yearly = {
-  outage : Money.t;
-  loss : Money.t;
-  events : int;
-}
 
 type t = {
-  years : yearly array;
+  samples : Tail_sim.year_sample array;
   sorted_totals : float array;
   mean : Money.t;
   p50 : Money.t;
@@ -26,13 +14,6 @@ type t = {
   quiet_fraction : float;
 }
 
-let sort_totals years =
-  let totals =
-    Array.map (fun y -> Money.to_dollars (Money.add y.outage y.loss)) years
-  in
-  Array.sort Float.compare totals;
-  totals
-
 (* Conservative nearest-rank: index ceil(q*n) clamped to [0, n-1] — the
    smallest order statistic whose empirical CDF strictly exceeds q.
    Never biased low (the previous floor of q*(n-1) read p99 of 100
@@ -40,84 +21,48 @@ let sort_totals years =
 let percentile_of_sorted totals q =
   let n = Array.length totals in
   if n = 0 then invalid_arg "Year_sim.percentile_of_sorted: empty";
+  Tail_sim.check_quantile "Year_sim.percentile_of_sorted" q;
   let idx = int_of_float (Float.ceil (q *. float_of_int n)) in
   Money.dollars totals.(max 0 (min (n - 1) idx))
 
-(* Years are simulated in fixed-size chunks, each on its own RNG stream
-   pre-split (in chunk order) from the caller's generator. The chunk
-   size is a constant — never a function of the pool — so the drawn
-   sample depends only on the generator state and the year count: the
-   domain count is pure scheduling. *)
-let chunk_years = 1_024
-
-let simulate ?params ?(years = 10_000) ?(obs = Obs.noop)
-    ?(pool = Exec.sequential) rng prov likelihood =
-  if years <= 0 then invalid_arg "Year_sim.simulate: years must be positive";
-  Obs.with_span obs "risk.year_sim" @@ fun () ->
-  Obs.add obs "risk.years" years;
-  (* The recovery simulation is deterministic per scenario: run each once
-     and reuse its per-event penalty. *)
-  let design = prov.Provision.design in
-  let per_event =
-    Scenario.enumerate likelihood design
-    |> List.map (fun (scen : Scenario.t) ->
-        let outcomes = Simulate.scenario ?params ~obs prov scen in
-        let outage, loss =
-          List.fold_left
-            (fun (outage, loss) outcome ->
-               (* annual_rate = 1: the raw per-event penalty. *)
-               let o, l = Penalty.of_outcome ~annual_rate:1. outcome in
-               (Money.add outage o, Money.add loss l))
-            (Money.zero, Money.zero) outcomes
-        in
-        (scen.Scenario.annual_rate, outage, loss))
+let simulate ?params ?years ?obs ?pool rng prov likelihood =
+  (match years with
+   | Some y when y <= 0 ->
+     invalid_arg "Year_sim.simulate: years must be positive"
+   | _ -> ());
+  let run =
+    Tail_sim.simulate ?params ?years ~strategy:Tail_sim.Nominal_only ?obs ?pool
+      rng prov likelihood
   in
-  let run_year rng =
-    List.fold_left
-      (fun acc (rate, outage, loss) ->
-         let k = Sample.poisson rng rate in
-         if k = 0 then acc
-         else
-           { outage = Money.add acc.outage (Money.scale (float_of_int k) outage);
-             loss = Money.add acc.loss (Money.scale (float_of_int k) loss);
-             events = acc.events + k })
-      { outage = Money.zero; loss = Money.zero; events = 0 }
-      per_event
-  in
-  let chunks = (years + chunk_years - 1) / chunk_years in
-  let sizes =
-    Array.init chunks (fun i -> min chunk_years (years - (i * chunk_years)))
-  in
-  let years_arr =
-    Exec.map_rng_obs pool ~label:"risk.years" ~obs ~rng
-      (fun _wobs rng size -> Array.init size (fun _ -> run_year rng))
-      sizes
-    |> Array.to_list |> Array.concat
-  in
-  Obs.add obs "risk.events"
-    (Array.fold_left (fun acc y -> acc + y.events) 0 years_arr);
-  let totals = sort_totals years_arr in
-  let sum = Array.fold_left ( +. ) 0. totals in
+  let samples = run.Tail_sim.samples.(0) in
+  let n = float_of_int (Array.length samples) in
+  let totals = Array.map (fun (s : Tail_sim.year_sample) -> s.total) samples in
+  (* Merge sort: on 10k years it takes about two thirds of the heap
+     sort's time, and totals (never NaN, never -0.) sort to the same
+     array either way. *)
+  Array.stable_sort Float.compare totals;
   let quiet =
-    Array.fold_left (fun acc y -> if y.events = 0 then acc + 1 else acc) 0
-      years_arr
+    Array.fold_left
+      (fun acc (s : Tail_sim.year_sample) ->
+         if s.events = 0 then acc + 1 else acc)
+      0 samples
   in
-  { years = years_arr;
+  { samples;
     sorted_totals = totals;
-    mean = Money.dollars (sum /. float_of_int years);
+    mean = Money.dollars (Array.fold_left ( +. ) 0. totals /. n);
     p50 = percentile_of_sorted totals 0.5;
     p90 = percentile_of_sorted totals 0.9;
     p99 = percentile_of_sorted totals 0.99;
     worst = Money.dollars totals.(Array.length totals - 1);
-    quiet_fraction = float_of_int quiet /. float_of_int years }
+    quiet_fraction = float_of_int quiet /. n }
 
 let percentile t q =
-  if q < 0. || q > 1. then invalid_arg "Year_sim.percentile: q outside [0, 1]";
+  Tail_sim.check_quantile "Year_sim.percentile" q;
   percentile_of_sorted t.sorted_totals q
 
 let pp ppf t =
   Format.fprintf ppf
     "annual penalty over %d simulated years: mean %a, median %a, p90 %a, \
      p99 %a, worst %a; %.1f%% quiet years"
-    (Array.length t.years) Money.pp t.mean Money.pp t.p50 Money.pp t.p90
+    (Array.length t.samples) Money.pp t.mean Money.pp t.p50 Money.pp t.p90
     Money.pp t.p99 Money.pp t.worst (100. *. t.quiet_fraction)

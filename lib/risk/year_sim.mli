@@ -3,12 +3,14 @@
     The paper's objective uses {e expected} annual penalties (likelihood-
     weighted sums). Expectations hide tail risk: a design whose expected
     penalty is $2M/yr may still face a 1-in-20 year costing $40M. This
-    module simulates many years — failure events arrive as independent
-    Poisson processes per scenario, each event charged the penalties from
-    the deterministic recovery simulation — and reports the distribution
-    of annual penalty cost.
+    module reports the distribution of annual penalty cost over many
+    simulated years — failure events arrive as independent Poisson
+    processes per scenario, each event charged the penalties from the
+    deterministic recovery simulation.
 
-    It doubles as a cross-check of the analytic model: the sample mean
+    It does no sampling of its own: it is a percentile view over
+    {!Tail_sim}'s [Nominal_only] run, the one sampler of the tree. It
+    doubles as a cross-check of the analytic model: the sample mean
     converges to {!Ds_cost.Penalty.expected_annual}'s total (a property
     the test suite asserts). *)
 
@@ -17,14 +19,10 @@ module Rng = Ds_prng.Rng
 module Provision = Ds_design.Provision
 module Likelihood = Ds_failure.Likelihood
 
-type yearly = {
-  outage : Money.t;
-  loss : Money.t;
-  events : int;  (** Failure events that struck during the year. *)
-}
-
 type t = {
-  years : yearly array;  (** One entry per simulated year, in order. *)
+  samples : Tail_sim.year_sample array;
+      (** The nominal run's years, in simulation order (every
+          [log_weight] is [0.]). *)
   sorted_totals : float array;
       (** Annual totals (outage + loss, in dollars) sorted ascending —
           computed once by {!simulate} and reused by {!percentile}. *)
@@ -45,23 +43,20 @@ val simulate :
   Provision.t ->
   Likelihood.t ->
   t
-(** Default 10,000 years. The years loop runs in fixed-size chunks
-    scheduled across [pool] (default sequential), one RNG stream
-    pre-split per chunk in chunk order: the drawn sample is a function
-    of the generator state and [years] alone, so a fixed seed yields
-    bit-identical results whatever the pool's domain count is. (The
-    chunked pre-split changed the stream layout once, at the version
-    boundary — fixed-seed samples differ from pre-[pool] releases; see
-    DESIGN.md §10.) [obs] (a [risk.year_sim] span, [risk.years] /
-    [risk.events] counters, and the per-scenario recovery simulation's
-    metrics) never affects the drawn sample.
+(** [Tail_sim.simulate ~strategy:Nominal_only] (default 10,000 years)
+    read as percentiles. The years run in fixed 1,024-year chunks, one
+    RNG stream pre-split per chunk in chunk order, so the sample is a
+    function of the generator state and [years] alone and a fixed seed
+    yields bit-identical results whatever the pool's domain count is.
+    [obs] sees the nominal run's [risk.tail_sim] span and [risk.tail.*]
+    metrics; it never affects the drawn sample.
     @raise Invalid_argument when [years <= 0]. *)
 
 val percentile : t -> float -> Money.t
 (** [percentile t 0.95] is the 95th percentile of annual penalty cost,
     read off the stored {!field-sorted_totals} (no re-sort), under the
     convention of {!percentile_of_sorted}.
-    @raise Invalid_argument outside [0, 1]. *)
+    @raise Invalid_argument outside [0, 1] (NaN included). *)
 
 val percentile_of_sorted : float array -> float -> Money.t
 (** Conservative nearest-rank percentile of an ascending-sorted array:
@@ -74,8 +69,9 @@ val percentile_of_sorted : float array -> float -> Money.t
     understate a tail): with 100 sorted years, [q = 0.99] reads index
     99, not the floor-truncated 98 of earlier releases. [q = 1.] is
     always the last (worst) element, so [percentile t 1.0] equals
-    {!field-worst}; [q = 0.] is the first. {!Ds_risk.Tail_sim}
+    {!field-worst}; [q = 0.] is the first. {!Tail_sim}
     applies the weighted analogue of the same convention.
-    @raise Invalid_argument on an empty array. *)
+    @raise Invalid_argument on an empty array, or outside [0, 1] (NaN
+    included). *)
 
 val pp : Format.formatter -> t -> unit

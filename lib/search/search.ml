@@ -167,7 +167,7 @@ let run ?(restarts = 4) ?(race = false) ?max_evaluations ?patience
     let wave = min width (restarts - !next) in
     let indices = Array.init wave (fun k -> !next + k) in
     let outcomes =
-      Exec.mapi_obs pool ~label:"portfolio.wave" ~obs
+      Exec.map pool ~label:"portfolio.wave" ~obs
         (fun wobs _ idx ->
            let abandon = if race then Some (abandon_hook shared idx) else None in
            let outcome =

@@ -4,9 +4,9 @@
    toolchain, so the newline-delimited JSON-RPC endpoint carries its own
    parser and printer. The subset is full JSON (RFC 8259): all escapes
    including \uXXXX with surrogate pairs (decoded to UTF-8 bytes),
-   numbers as OCaml floats, nested arrays/objects. Object member order
-   is preserved; duplicate keys keep every occurrence ([member] returns
-   the first). The printer emits integral doubles without a fractional
+   numbers as OCaml floats, arrays/objects nested up to [max_depth]
+   deep. Object member order is preserved; duplicate keys keep every
+   occurrence ([member] returns the first). The printer emits integral doubles without a fractional
    part so ids and counters survive a round trip textually. *)
 
 type t =
@@ -156,7 +156,17 @@ let parse_number c =
   | Some f -> Num f
   | None -> error c "invalid number %S" text
 
-let rec parse_value c =
+(* The parser recurses once per open array or object, so one hostile
+   line of [[[[... could otherwise overflow the stack. Valid requests
+   nest about four deep. *)
+let max_depth = 64
+
+(* [depth] counts the containers enclosing the value being parsed. *)
+let enter c depth =
+  if depth >= max_depth then error c "nesting deeper than %d" max_depth;
+  depth + 1
+
+let rec parse_value c depth =
   skip_ws c;
   match next c with
   | 'n' -> expect_word c "ull" Null
@@ -164,6 +174,7 @@ let rec parse_value c =
   | 'f' -> expect_word c "alse" (Bool false)
   | '"' -> Str (parse_string c)
   | '[' ->
+    let depth = enter c depth in
     skip_ws c;
     if peek c = Some ']' then begin
       c.pos <- c.pos + 1;
@@ -173,7 +184,7 @@ let rec parse_value c =
       let items = ref [] in
       let continue = ref true in
       while !continue do
-        items := parse_value c :: !items;
+        items := parse_value c depth :: !items;
         skip_ws c;
         match next c with
         | ',' -> ()
@@ -183,6 +194,7 @@ let rec parse_value c =
       List (List.rev !items)
     end
   | '{' ->
+    let depth = enter c depth in
     skip_ws c;
     if peek c = Some '}' then begin
       c.pos <- c.pos + 1;
@@ -197,7 +209,7 @@ let rec parse_value c =
         let key = parse_string c in
         skip_ws c;
         expect c ':';
-        let value = parse_value c in
+        let value = parse_value c depth in
         members := (key, value) :: !members;
         skip_ws c;
         match next c with
@@ -214,7 +226,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { src = s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos <> String.length s then

@@ -3,12 +3,12 @@
 
     Self-contained (the repo carries no external JSON dependency).
     Covers RFC 8259: every escape including [\uXXXX] with surrogate
-    pairs (decoded to UTF-8), numbers as OCaml floats, arbitrarily
-    nested arrays and objects. Object member order is preserved and
-    duplicate keys are kept ({!member} returns the first). The printer
-    emits integral doubles without a fractional part, so request ids and
-    counters survive a textual round trip; non-finite numbers print as
-    [null]. *)
+    pairs (decoded to UTF-8), numbers as OCaml floats, arrays and
+    objects nested up to {!max_depth} deep. Object member order is
+    preserved and duplicate keys are kept ({!member} returns the
+    first). The printer emits integral doubles without a fractional
+    part, so request ids and counters survive a textual round trip;
+    non-finite numbers print as [null]. *)
 
 type t =
   | Null
@@ -17,6 +17,10 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+
+val max_depth : int
+(** 64: the deepest nesting of arrays and objects {!of_string}
+    accepts. Deeper input is an [Error], never a stack overflow. *)
 
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; anything but trailing whitespace

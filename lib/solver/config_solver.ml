@@ -189,7 +189,7 @@ let optimize_windows ~options ~obs ~pool ~scenarios ~batch design likelihood
   List.fold_left
     (fun (design, eval) (asg : Assignment.t) ->
        let trials =
-         Exec.mapi_obs pool ~label:"config.windows" ~obs
+         Exec.map pool ~label:"config.windows" ~obs
            (fun wobs _ (snapshot_win, tape_win, fulls_every) ->
               match
                 with_windows design asg ~snapshot_win ~tape_win ~fulls_every
@@ -233,7 +233,7 @@ let grow_resources ~options ~obs ~pool ~scenarios ~batch eval likelihood =
         Array.of_list (Provision.growth_moves eval.Evaluate.provision)
       in
       let trials =
-        Exec.mapi_obs pool ~label:"config.growth" ~obs
+        Exec.map pool ~label:"config.growth" ~obs
           (fun wobs _ move ->
              match Provision.grow eval.Evaluate.provision move with
              | None -> None

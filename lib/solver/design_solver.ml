@@ -142,7 +142,7 @@ let probe ?victims state params start =
    domain count is pure scheduling. *)
 let run_probes ?victims ~pool state params current =
   let outcomes =
-    Exec.map_rng_obs pool ~label:"solver.probes" ~obs:state.Reconfigure.obs
+    Exec.map_rng pool ~label:"solver.probes" ~obs:state.Reconfigure.obs
       ~rng:state.Reconfigure.rng
       (fun wobs rng () ->
          let local = Reconfigure.fork ~obs:wobs state ~rng in

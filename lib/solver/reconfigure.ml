@@ -93,7 +93,7 @@ let assign_best ?(pool = Exec.sequential) state design app =
   else begin
     let options = scoped_options state app in
     let results =
-      Exec.mapi_obs pool ~label:"solver.assign" ~obs:state.obs
+      Exec.map pool ~label:"solver.assign" ~obs:state.obs
         (fun wobs _ design ->
            match Config_solver.solve ~options ~obs:wobs design state.likelihood with
            | Ok candidate -> Some candidate

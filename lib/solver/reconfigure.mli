@@ -43,8 +43,8 @@ val fork : ?obs:Ds_obs.Obs.t -> state -> rng:Rng.t -> state
     evaluation counter. The likelihood and configuration options
     (including the shared, mutex-guarded memo cache) are shared with the
     parent. [obs] overrides the observability capability — worker
-    domains pass a trace-stripped one ({!Ds_obs.Obs.without_trace})
-    because the span collector is not domain-safe. *)
+    domains pass their own trace lane ({!Ds_obs.Obs.fork_lane})
+    because a span collector is not domain-safe. *)
 
 val merge : into:state -> state -> unit
 (** Fold a fork's results back into its parent: add its evaluation

@@ -1,6 +1,6 @@
 (* Tests for the deterministic domain-pool executor: scheduling never
-   changes results, exceptions cross the domain boundary, and the
-   capability handed to workers is trace-free. *)
+   changes results, exceptions cross the domain boundary, and workers
+   trace into lanes of their own. *)
 
 open Dependable_storage
 module Rng = Prng.Rng
@@ -26,26 +26,26 @@ let api_tests =
              check_int
                (Printf.sprintf "%d domains" domains)
                0
-               (Array.length (Exec.map pool (fun x -> x + 1) [||])))
+               (Array.length (Exec.map pool (fun _ _ x -> x + 1) [||])))
           [ 1; 4 ]);
     Alcotest.test_case "more domains than tasks" `Quick (fun () ->
         let pool = Exec.create ~domains:8 () in
         Alcotest.(check (array int))
           "three tasks on eight domains" [| 1; 2; 3 |]
-          (Exec.map pool (fun x -> x + 1) [| 0; 1; 2 |]);
+          (Exec.map pool (fun _ _ x -> x + 1) [| 0; 1; 2 |]);
         check_int "workers clamp to the task count" 3
           (Exec.workers pool ~tasks:3));
-    Alcotest.test_case "mapi passes the task index" `Quick (fun () ->
+    Alcotest.test_case "map passes the task index" `Quick (fun () ->
         let pool = Exec.create ~domains:4 () in
         Alcotest.(check (array int))
           "index plus value" [| 10; 21; 32; 43; 54 |]
-          (Exec.mapi pool (fun i x -> (10 * (i + 1)) + x) [| 0; 1; 2; 3; 4 |]));
+          (Exec.map pool (fun _ i x -> (10 * (i + 1)) + x) [| 0; 1; 2; 3; 4 |]));
     Alcotest.test_case "a worker exception re-raises on the caller" `Quick
       (fun () ->
          let pool = Exec.create ~domains:4 () in
          match
-           Exec.mapi pool
-             (fun i x -> if i = 2 then raise (Boom i) else x)
+           Exec.map pool
+             (fun _ i x -> if i = 2 then raise (Boom i) else x)
              [| 0; 1; 2; 3 |]
          with
          | _ -> Alcotest.fail "expected the worker's exception"
@@ -53,8 +53,8 @@ let api_tests =
     Alcotest.test_case "the lowest-index failure wins" `Quick (fun () ->
         let pool = Exec.create ~domains:4 () in
         match
-          Exec.mapi pool
-            (fun i x -> if i = 1 || i = 3 then raise (Boom i) else x)
+          Exec.map pool
+            (fun _ i x -> if i = 1 || i = 3 then raise (Boom i) else x)
             [| 0; 1; 2; 3 |]
         with
         | _ -> Alcotest.fail "expected a worker exception"
@@ -66,29 +66,29 @@ let api_tests =
             the same pool value runs normally. *)
          let pool = Exec.create ~domains:4 () in
          (match
-            Exec.mapi pool
-              (fun i x -> if i = 2 then raise (Boom i) else x)
+            Exec.map pool
+              (fun _ i x -> if i = 2 then raise (Boom i) else x)
               [| 0; 1; 2; 3 |]
           with
           | _ -> Alcotest.fail "expected the worker's exception"
           | exception Boom 2 -> ());
          Alcotest.(check (array int))
            "subsequent map on the same pool" [| 1; 2; 3; 4; 5 |]
-           (Exec.map pool (fun x -> x + 1) [| 0; 1; 2; 3; 4 |])) ]
+           (Exec.map pool (fun _ _ x -> x + 1) [| 0; 1; 2; 3; 4 |])) ]
 
 let determinism_tests =
   [ prop "output order equals input order at any domain count"
       QCheck2.Gen.(pair (int_range 1 6) (list small_int))
       (fun (domains, xs) ->
          let pool = Exec.create ~domains () in
-         Exec.map_list pool (fun x -> (2 * x) + 1) xs
-         = List.map (fun x -> (2 * x) + 1) xs);
+         Exec.map pool (fun _ _ x -> (2 * x) + 1) (Array.of_list xs)
+         = Array.of_list (List.map (fun x -> (2 * x) + 1) xs));
     Alcotest.test_case "map_rng draws identical streams at 1 and 4 domains"
       `Quick (fun () ->
         let tasks = Array.init 10 (fun i -> i) in
         let run domains =
           Exec.map_rng (Exec.create ~domains ()) ~rng:(Rng.of_int 7)
-            (fun rng i -> (i, Rng.int rng 1_000_000, Rng.unit_float rng))
+            (fun _ rng i -> (i, Rng.int rng 1_000_000, Rng.unit_float rng))
             tasks
         in
         check_bool "identical results" true (run 1 = run 4));
@@ -100,7 +100,7 @@ let determinism_tests =
          let n = 20_000 in
          let tasks = Array.init n (fun i -> i) in
          let out =
-           Exec.map (Exec.create ~domains ()) (fun i -> (i * i) mod 97) tasks
+           Exec.map (Exec.create ~domains ()) (fun _ _ i -> (i * i) mod 97) tasks
          in
          check_int "length" n (Array.length out);
          Array.iteri
@@ -113,17 +113,17 @@ module Metrics = Obs.Metrics
 module Trace = Obs.Trace
 
 let acct_tests =
-  [ Alcotest.test_case "mapi_obs matches mapi and balances the accounting"
+  [ Alcotest.test_case
+      "an observed map matches an unobserved one and balances the accounting"
       `Quick (fun () ->
           let obs = Obs.create ~metrics:true ~trace:true () in
           let pool = Exec.create ~domains:4 () in
           let n = 10 in
           let tasks = Array.init n (fun i -> i) in
-          let f i x = (10 * (i + 1)) + x in
-          Alcotest.(check (array int)) "same results as mapi"
-            (Exec.mapi pool f tasks)
-            (Exec.mapi_obs pool ~label:"region" ~obs (fun _ i x -> f i x)
-               tasks);
+          let f _ i x = (10 * (i + 1)) + x in
+          Alcotest.(check (array int)) "same results as without obs"
+            (Exec.map pool f tasks)
+            (Exec.map pool ~label:"region" ~obs f tasks);
           let reg = Option.get (Obs.metrics obs) in
           let count name = Metrics.count (Metrics.counter reg name) in
           check_int "one map" 1 (count "exec.maps");
@@ -152,13 +152,13 @@ let acct_tests =
             (Metrics.total (hist "exec.worker_busy_s")
              <= Metrics.total (hist "exec.map_wall_s")
                 *. float_of_int w *. 1.01));
-    Alcotest.test_case "mapi_obs merges one trace lane per domain" `Quick
+    Alcotest.test_case "a traced map merges one lane per domain" `Quick
       (fun () ->
          let obs = Obs.create ~trace:true () in
          let pool = Exec.create ~domains:4 () in
          let n = 10 in
          ignore
-           (Exec.mapi_obs pool ~label:"region" ~obs
+           (Exec.map pool ~label:"region" ~obs
               (fun _ i x -> i + x)
               (Array.init n (fun i -> i)));
          let spans = Trace.spans (Option.get (Obs.trace obs)) in
@@ -185,36 +185,30 @@ let acct_tests =
                 "region/worker/task" s.Trace.path)
            task_spans);
     Alcotest.test_case
-      "map_rng_obs draws identical streams at any width, profiled or not"
+      "profiled map_rng draws identical streams at any width"
       `Quick (fun () ->
           let tasks = Array.init 10 (fun i -> i) in
           let run domains obs =
-            Exec.map_rng_obs
+            Exec.map_rng
               (Exec.create ~domains ())
               ~obs ~rng:(Rng.of_int 7)
               (fun _ rng i -> (i, Rng.int rng 1_000_000, Rng.unit_float rng))
               tasks
           in
-          let plain =
-            Exec.map_rng
-              (Exec.create ~domains:1 ())
-              ~rng:(Rng.of_int 7)
-              (fun rng i -> (i, Rng.int rng 1_000_000, Rng.unit_float rng))
-              tasks
-          in
-          check_bool "uninstrumented delegate agrees" true
-            (run 1 Obs.noop = plain);
+          let plain = run 1 Obs.noop in
+          check_bool "4-domain uninstrumented agrees" true
+            (run 4 Obs.noop = plain);
           check_bool "1-domain profiled agrees" true
             (run 1 (Obs.create ~metrics:true ~trace:true ()) = plain);
           check_bool "4-domain profiled agrees" true
             (run 4 (Obs.create ~metrics:true ~trace:true ()) = plain));
     Alcotest.test_case
-      "mapi_obs re-raises the lowest-index failure, accounting intact" `Quick
-      (fun () ->
+      "an observed map re-raises the lowest-index failure, accounting intact"
+      `Quick (fun () ->
          let obs = Obs.create ~metrics:true () in
          let pool = Exec.create ~domains:4 () in
          (match
-            Exec.mapi_obs pool ~obs
+            Exec.map pool ~obs
               (fun _ i x -> if i = 1 || i = 3 then raise (Boom i) else x)
               [| 0; 1; 2; 3 |]
           with
@@ -270,24 +264,22 @@ let auto_tests =
          let tasks = Array.init 8 (fun i -> i) in
          Alcotest.(check (array int)) "first (learning) map is correct"
            (Array.map (fun x -> x + 1) tasks)
-           (Exec.mapi_obs pool ~label:"cheap" ~obs (fun _ _ x -> x + 1) tasks);
+           (Exec.map pool ~label:"cheap" ~obs (fun _ _ x -> x + 1) tasks);
          check_int "next map of that label runs sequentially" 1
            (Exec.width_for pool ~label:"cheap" ~tasks:8);
          check_int "other labels still run wide" 4
            (Exec.width_for pool ~label:"other" ~tasks:8);
          Alcotest.(check (array int)) "clamped map is still correct"
            (Array.map (fun x -> x + 1) tasks)
-           (Exec.mapi_obs pool ~label:"cheap" ~obs (fun _ _ x -> x + 1) tasks));
+           (Exec.map pool ~label:"cheap" ~obs (fun _ _ x -> x + 1) tasks));
     Alcotest.test_case "an uninstrumented map still learns costs" `Quick
       (fun () ->
          (* The bench path maps under a noop capability; auto-sizing must
-            learn from wall time there or it would never help the bench. *)
+            learn busy time there too or it would never help the bench. *)
          let pool = Exec.auto_width ~threshold_s:1e9 (Exec.create ~domains:4 ()) in
          let tasks = Array.init 8 (fun i -> i) in
-         ignore
-           (Exec.mapi_obs pool ~label:"noop-stage" ~obs:Obs.noop
-              (fun _ _ x -> x + 1) tasks);
-         check_int "learned from the wall clock" 1
+         ignore (Exec.map pool ~label:"noop-stage" (fun _ _ x -> x + 1) tasks);
+         check_int "learned from busy time" 1
            (Exec.width_for pool ~label:"noop-stage" ~tasks:8));
     Alcotest.test_case "a learned-expensive stage keeps its width" `Quick
       (fun () ->
@@ -298,16 +290,16 @@ let auto_tests =
          in
          let obs = Obs.create ~metrics:true () in
          let tasks = Array.init 8 (fun i -> i) in
-         ignore (Exec.mapi_obs pool ~label:"hot" ~obs (fun _ _ x -> burn x) tasks);
+         ignore (Exec.map pool ~label:"hot" ~obs (fun _ _ x -> burn x) tasks);
          check_int "stays at full width" 4
            (Exec.width_for pool ~label:"hot" ~tasks:8));
-    Alcotest.test_case "auto-sizing never changes map_rng_obs results" `Quick
+    Alcotest.test_case "auto-sizing never changes map_rng results" `Quick
       (fun () ->
          let tasks = Array.init 12 (fun i -> i) in
          let draw _ rng i = (i, Rng.int rng 1_000_000, Rng.unit_float rng) in
          let reference =
-           Exec.map_rng_obs Exec.sequential ~label:"stage" ~obs:Obs.noop
-             ~rng:(Rng.of_int 7) draw tasks
+           Exec.map_rng Exec.sequential ~label:"stage" ~rng:(Rng.of_int 7) draw
+             tasks
          in
          List.iter
            (fun threshold_s ->
@@ -323,24 +315,31 @@ let auto_tests =
                    check_bool
                      (Printf.sprintf "threshold %g, pass %d" threshold_s pass)
                      true
-                     (Exec.map_rng_obs pool ~label:"stage" ~obs
+                     (Exec.map_rng pool ~label:"stage" ~obs
                         ~rng:(Rng.of_int 7) draw tasks
                       = reference))
                 [ 1; 2 ])
            [ 1e9; 1e-12; 1e-3 ]) ]
 
 let obs_tests =
-  [ Alcotest.test_case "worker_obs strips tracing for parallel pools" `Quick
+  [ Alcotest.test_case "the calling domain keeps the caller's trace" `Quick
       (fun () ->
-        let obs = Obs.create ~trace:true () in
-        check_bool "fixture traces" true (Option.is_some (Obs.trace obs));
-        let parallel = Exec.create ~domains:4 () in
-        check_bool "stripped on a parallel pool" true
-          (Option.is_none (Obs.trace (Exec.worker_obs parallel ~tasks:8 obs)));
-        check_bool "kept when tasks clamp the pool to one worker" true
-          (Option.is_some (Obs.trace (Exec.worker_obs parallel ~tasks:1 obs)));
-        check_bool "kept on the sequential pool" true
-          (Option.is_some (Obs.trace (Exec.worker_obs Exec.sequential ~tasks:8 obs)))) ]
+         (* Spans nest by dynamic scope on one thread, so only tasks on
+            the calling domain may record into the caller's collector;
+            every spawned worker records into a lane of its own. *)
+         let obs = Obs.create ~trace:true () in
+         let caller = Obs.trace obs in
+         let on_caller pool =
+           Exec.map pool ~obs
+             (fun wobs _ () -> Obs.trace wobs == caller)
+             (Array.make 8 ())
+         in
+         Alcotest.(check (array bool))
+           "stride 0 (tasks 0 and 4) on the caller's collector"
+           [| true; false; false; false; true; false; false; false |]
+           (on_caller (Exec.create ~domains:4 ()));
+         check_bool "a one-domain pool runs every task on it" true
+           (Array.for_all Fun.id (on_caller Exec.sequential))) ]
 
 let suites =
   [ ("exec.api", api_tests);

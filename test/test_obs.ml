@@ -854,7 +854,7 @@ let solver_tests =
           (Money.to_dollars (run (Some obs)));
         let reg = Option.get (Obs.metrics obs) in
         check_int "years counted" 200
-          (Metrics.count (Metrics.counter reg "risk.years"))) ]
+          (Metrics.count (Metrics.counter reg "risk.tail.years"))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Prof: structured profiling reports                                  *)
@@ -876,7 +876,7 @@ let prof_tests =
          let pool = Exec.create ~domains:4 () in
          let n = 12 in
          let out =
-           Exec.mapi_obs pool ~label:"region" ~obs
+           Exec.map pool ~label:"region" ~obs
              (fun _ i x -> i + x)
              (Array.init n (fun i -> i))
          in

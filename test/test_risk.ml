@@ -1,5 +1,6 @@
-(* Tests for the Monte Carlo risk analyzer and the simulated-annealing
-   baseline. *)
+(* Tests for the Monte Carlo risk analyzer (Year_sim, a view of
+   Tail_sim's nominal run), the rare-event engine and the
+   simulated-annealing baseline. *)
 
 open Dependable_storage
 open Dependable_storage.Units
@@ -8,6 +9,7 @@ module Provision = Design.Provision
 module Likelihood = Failure.Likelihood
 module Penalty = Cost.Penalty
 module Year_sim = Risk.Year_sim
+module Tail_sim = Risk.Tail_sim
 module Annealing = Heuristics.Annealing
 module Candidate = Solver.Candidate
 module Config_solver = Solver.Config_solver
@@ -88,7 +90,7 @@ let risk_tests =
          check_bool "p99 > mean" true Money.(sim.Year_sim.mean < sim.Year_sim.p99));
     Alcotest.test_case "pool width never changes the sample" `Quick (fun () ->
         (* 3,000 years spans multiple chunks, so the 4-domain run really
-           interleaves; every yearly record must still match the
+           interleaves; every per-year sample must still match the
            sequential run exactly. *)
         let prov = prov_of (Fixtures.two_app_design ()) in
         let run pool =
@@ -98,8 +100,8 @@ let risk_tests =
         List.iter
           (fun pool ->
              let parallel = run pool in
-             check_bool "identical yearly records" true
-               (sequential.Year_sim.years = parallel.Year_sim.years);
+             check_bool "identical per-year samples" true
+               (sequential.Year_sim.samples = parallel.Year_sim.samples);
              check_bool "identical sorted totals" true
                (sequential.Year_sim.sorted_totals
                 = parallel.Year_sim.sorted_totals))
@@ -117,7 +119,95 @@ let risk_tests =
                 (Money.to_dollars field)
                 (Money.to_dollars (Year_sim.percentile sim q)))
            [ (0.5, sim.Year_sim.p50); (0.9, sim.Year_sim.p90);
-             (0.99, sim.Year_sim.p99); (1., sim.Year_sim.worst) ]) ]
+             (0.99, sim.Year_sim.p99); (1., sim.Year_sim.worst) ]);
+    Alcotest.test_case "it is the statistics of a nominal Tail_sim run" `Quick
+      (fun () ->
+         (* Recomputed here from the nominal run's samples, not through
+            Year_sim: sorted totals, their in-order sum, conservative
+            nearest ranks, quiet years. Every figure must be identical. *)
+         let prov = prov_of (Fixtures.two_app_design ()) in
+         let years = 2_500 in
+         let sim = Year_sim.simulate ~years (Rng.of_int 19) prov likelihood in
+         let run =
+           Tail_sim.simulate ~years ~strategy:Tail_sim.Nominal_only
+             (Rng.of_int 19) prov likelihood
+         in
+         let samples = run.Tail_sim.samples.(0) in
+         check_bool "same samples" true (sim.Year_sim.samples = samples);
+         let totals = Array.map (fun s -> s.Tail_sim.total) samples in
+         Array.sort Float.compare totals;
+         let n = float_of_int years in
+         let at q = totals.(min (years - 1) (int_of_float (Float.ceil (q *. n)))) in
+         let exact name want got =
+           Alcotest.(check (float 0.)) name want (Money.to_dollars got)
+         in
+         exact "mean" (Array.fold_left ( +. ) 0. totals /. n) sim.Year_sim.mean;
+         exact "p50" (at 0.5) sim.Year_sim.p50;
+         exact "p90" (at 0.9) sim.Year_sim.p90;
+         exact "p99" (at 0.99) sim.Year_sim.p99;
+         exact "worst" totals.(years - 1) sim.Year_sim.worst;
+         Alcotest.(check (float 0.)) "quiet fraction"
+           (float_of_int
+              (Array.fold_left
+                 (fun acc s -> if s.Tail_sim.events = 0 then acc + 1 else acc)
+                 0 samples)
+            /. n)
+           sim.Year_sim.quiet_fraction);
+    Alcotest.test_case "the nominal run draws what the old sampler drew"
+      `Quick (fun () ->
+        (* An independent re-implementation of the pre-view Year_sim
+           sampler: one stream pre-split per 1,024-year chunk, one
+           Poisson count per scenario in enumeration order, outage and
+           loss summed apart. Its per-year event counts and the
+           generator's final state must match exactly; the totals may
+           differ in the last bits only, because the nominal run sums
+           outage and loss per scenario. 2,500 years leaves a partial
+           last chunk. *)
+        let prov = prov_of (Fixtures.two_app_design ()) in
+        let years = 2_500 in
+        let per_event =
+          Failure.Scenario.enumerate likelihood prov.Provision.design
+          |> List.map (fun (scen : Failure.Scenario.t) ->
+              let outage, loss =
+                List.fold_left
+                  (fun (outage, loss) outcome ->
+                     let o, l = Penalty.of_outcome ~annual_rate:1. outcome in
+                     (outage +. Money.to_dollars o, loss +. Money.to_dollars l))
+                  (0., 0.)
+                  (Recovery.Simulate.scenario prov scen)
+              in
+              (scen.Failure.Scenario.annual_rate, outage, loss))
+        in
+        let old_rng = Rng.of_int 20 in
+        let streams =
+          Array.init ((years + 1_023) / 1_024) (fun _ -> Rng.split old_rng)
+        in
+        let old_years =
+          Array.init years (fun y ->
+              let rng = streams.(y / 1_024) in
+              List.fold_left
+                (fun (events, outage, loss) (rate, o, l) ->
+                   let k = Prng.Sample.poisson rng rate in
+                   let kf = float_of_int k in
+                   (events + k, outage +. (kf *. o), loss +. (kf *. l)))
+                (0, 0., 0.) per_event)
+        in
+        let new_rng = Rng.of_int 20 in
+        let sim = Year_sim.simulate ~years new_rng prov likelihood in
+        Array.iteri
+          (fun y (events, outage, loss) ->
+             let s = sim.Year_sim.samples.(y) in
+             if s.Tail_sim.events <> events then
+               Alcotest.failf "year %d: %d events, the old sampler drew %d" y
+                 s.Tail_sim.events events;
+             let old_total = outage +. loss in
+             if Float.abs (s.Tail_sim.total -. old_total) > 1e-9 *. old_total
+             then
+               Alcotest.failf "year %d: total %h, the old sampler's %h" y
+                 s.Tail_sim.total old_total)
+          old_years;
+        check_int "generator ends in the same state" (Rng.int old_rng 1_000_000)
+          (Rng.int new_rng 1_000_000)) ]
 
 let percentile_tests =
   [ Alcotest.test_case "singleton array answers every q" `Quick (fun () ->
@@ -157,9 +247,26 @@ let percentile_tests =
     Alcotest.test_case "empty array raises" `Quick (fun () ->
         Alcotest.check_raises "empty"
           (Invalid_argument "Year_sim.percentile_of_sorted: empty") (fun () ->
-            ignore (Year_sim.percentile_of_sorted [||] 0.5))) ]
-
-module Tail_sim = Risk.Tail_sim
+            ignore (Year_sim.percentile_of_sorted [||] 0.5)));
+    Alcotest.test_case "a NaN quantile is rejected, not read as 0 or 1" `Quick
+      (fun () ->
+        (* [q < 0. || q > 1.] is false for NaN: the percentile readers
+           once answered it with the best year (sorted) or the worst
+           (weighted) instead of raising. *)
+        let prov = prov_of (Fixtures.two_app_design ()) in
+        let rng () = Rng.of_int 21 in
+        let sim = Year_sim.simulate ~years:1_000 (rng ()) prov likelihood in
+        let tail = Tail_sim.simulate ~years:1_000 (rng ()) prov likelihood in
+        Alcotest.check_raises "Year_sim.percentile"
+          (Invalid_argument "Year_sim.percentile: q outside [0, 1]") (fun () ->
+            ignore (Year_sim.percentile sim Float.nan));
+        Alcotest.check_raises "Year_sim.percentile_of_sorted"
+          (Invalid_argument "Year_sim.percentile_of_sorted: q outside [0, 1]")
+          (fun () ->
+             ignore (Year_sim.percentile_of_sorted [| 1.; 2. |] Float.nan));
+        Alcotest.check_raises "Tail_sim.tail_percentile"
+          (Invalid_argument "Tail_sim.tail_percentile: q outside [0, 1]")
+          (fun () -> ignore (Tail_sim.tail_percentile tail Float.nan))) ]
 
 let zero_likelihood =
   Likelihood.v ~data_object_per_year:0. ~array_per_year:0. ~site_per_year:0.
@@ -360,7 +467,48 @@ let tail_tests =
           (fun () -> ignore (Tail_sim.certify t ~availability:1.));
         Alcotest.check_raises "percentile out of range"
           (Invalid_argument "Tail_sim.tail_percentile: q outside [0, 1]")
-          (fun () -> ignore (Tail_sim.tail_percentile t 1.5))) ]
+          (fun () -> ignore (Tail_sim.tail_percentile t 1.5)));
+    Alcotest.test_case "a fixed-seed risk request keeps its certification"
+      `Quick (fun () ->
+        (* The tail stream is [Rng.split] of the generator after the
+           nominal run, so it moves if that run ever draws a different
+           number of streams. Figures recorded as hex floats before
+           Year_sim became a view of the nominal run. *)
+        let module R = Ds_experiments.Request in
+        let solve =
+          { R.env = Fixtures.peer_env ();
+            apps = [ Fixtures.b_app; Fixtures.s_app ];
+            likelihood;
+            budget = Ds_experiments.Budgets.with_seed Ds_experiments.Budgets.quick 23;
+            deadline_s = None }
+        in
+        let request =
+          { R.solve;
+            design = Some (Design.Design_io.to_string (Fixtures.two_app_design ()));
+            years = 2_500;
+            sla = Some 0.999;
+            tilt = 8.;
+            strata = "scope" }
+        in
+        match R.run_risk request with
+        | Error e -> Alcotest.fail (R.error_message e)
+        | Ok { R.tail = None; _ } -> Alcotest.fail "no certification"
+        | Ok { R.tail = Some (t, cert); _ } ->
+          let pinned name hex got =
+            Alcotest.(check string) name hex (Printf.sprintf "%h" got)
+          in
+          pinned "ESS" "0x1.29ded0915c82cp+10" t.Tail_sim.ess;
+          pinned "unavailability" "0x1.534b05702de7ep-8"
+            cert.Tail_sim.unavailability.Tail_sim.value;
+          pinned "lower bound" "0x1.381d5f66fa88ep-8"
+            cert.Tail_sim.unavailability.Tail_sim.lower;
+          pinned "upper bound" "0x1.6e78ab796146ep-8"
+            cert.Tail_sim.unavailability.Tail_sim.upper;
+          pinned "breach probability" "0x1.b1615c3d2cf38p-2"
+            cert.Tail_sim.breach_probability.Tail_sim.value;
+          check_bool "verdict" true (cert.Tail_sim.verdict = Tail_sim.Fail);
+          pinned "deciding bound" "0x1.381d5f66fa88ep-8"
+            cert.Tail_sim.deciding_bound) ]
 
 let fast_options =
   { Config_solver.search_options with

@@ -50,6 +50,22 @@ let json_tests =
           (Option.get (Option.bind (Json.member "k" v) Json.int_opt)));
     Alcotest.test_case "trailing garbage is rejected" `Quick (fun () ->
         check_bool "error" true (Result.is_error (Json.of_string "{} x")));
+    Alcotest.test_case "nesting is capped at max_depth" `Quick (fun () ->
+        let nested depth =
+          String.make depth '[' ^ String.make depth ']'
+        in
+        check_bool "max_depth arrays parse" true
+          (Result.is_ok (Json.of_string (nested Json.max_depth)));
+        check_bool "one more is rejected" true
+          (Result.is_error (Json.of_string (nested (Json.max_depth + 1))));
+        let objects depth =
+          String.concat "" (List.init depth (fun _ -> {|{"k":|}))
+          ^ "1" ^ String.make depth '}'
+        in
+        check_bool "max_depth objects parse" true
+          (Result.is_ok (Json.of_string (objects Json.max_depth)));
+        check_bool "objects count too" true
+          (Result.is_error (Json.of_string (objects (Json.max_depth + 1)))));
     Alcotest.test_case "checked lookups default and reject" `Quick (fun () ->
         let o = Json.Obj [ ("n", Json.Str "not a number") ] in
         check_int "default on absent key" 7
@@ -301,7 +317,41 @@ let determinism_tests =
                     check_bool "null id" true (id = Json.Null);
                     check_int "parse_error" Protocol.parse_error
                       e.Protocol.code
-                  | _ -> Alcotest.fail "expected a parse-error reply"))) ]
+                  | _ -> Alcotest.fail "expected a parse-error reply")));
+    Alcotest.test_case "a too-deep line is a parse error and serving goes on"
+      `Quick (fun () ->
+         with_daemon base_config (fun d ->
+             let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+             Fun.protect
+               ~finally:(fun () ->
+                 try Unix.close fd with Unix.Unix_error _ -> ())
+               (fun () ->
+                  Unix.connect fd
+                    (Unix.ADDR_INET
+                       (Unix.inet_addr_loopback, Daemon.port d));
+                  let oc = Unix.out_channel_of_descr fd in
+                  let ic = Unix.in_channel_of_descr fd in
+                  (* Well-formed but 100,000 arrays deep: an uncapped
+                     parser accepts it (and then answers -32600, not a
+                     request) or, with a smaller stack, overflows. *)
+                  output_string oc
+                    (String.make 100_000 '[' ^ String.make 100_000 ']' ^ "\n");
+                  flush oc;
+                  (match Protocol.parse_incoming (input_line ic) with
+                   | Ok (Protocol.Reply { result = Error e; _ }) ->
+                     check_int "parse_error" Protocol.parse_error
+                       e.Protocol.code
+                   | _ -> Alcotest.fail "expected a parse-error reply");
+                  output_string oc
+                    (Protocol.request ~id:(Json.Num 1.) ~method_:"health"
+                       ~params:(Json.Obj [])
+                     ^ "\n");
+                  flush oc;
+                  match Protocol.parse_incoming (input_line ic) with
+                  | Ok (Protocol.Reply { result = Ok h; _ }) ->
+                    check_bool "health still answers" true
+                      (Json.member "status" h = Some (Json.Str "ok"))
+                  | _ -> Alcotest.fail "expected a health reply"))) ]
 
 (* ---- Admission control and lifecycle ------------------------------ *)
 
