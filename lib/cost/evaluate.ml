@@ -1,8 +1,12 @@
 module Money = Ds_units.Money
+module Rate = Ds_units.Rate
 module App = Ds_workload.App
+module Slot = Ds_resources.Slot
 module Design = Ds_design.Design
+module Demand = Ds_design.Demand
 module Provision = Ds_design.Provision
 module Likelihood = Ds_failure.Likelihood
+module Simulate = Ds_recovery.Simulate
 
 type t = {
   provision : Provision.t;
@@ -10,26 +14,106 @@ type t = {
   penalty : Penalty.t;
 }
 
-let provisioned ?params ?obs ?scenarios ?batch prov likelihood =
-  (match batch with
-   | Some b -> Ds_recovery.Simulate.incr_evaluations b
-   | None ->
-     (match obs with
-      | Some obs -> Ds_obs.Obs.incr obs "cost.evaluations"
-      | None -> ()));
-  let penalty =
-    Penalty.expected_annual ?params ?obs ?scenarios ?batch prov likelihood
-  in
+let of_penalty prov penalty =
   let summary =
     Summary.v ~outlay:(Outlay.annual prov) ~outage:penalty.Penalty.outage_total
       ~loss:penalty.Penalty.loss_total
   in
   { provision = prov; summary; penalty }
 
+let provisioned ?params ?obs ?scenarios ?batch prov likelihood =
+  (match batch with
+   | Some b -> Simulate.incr_evaluations b
+   | None ->
+     (match obs with
+      | Some obs -> Ds_obs.Obs.incr obs "cost.evaluations"
+      | None -> ()));
+  of_penalty prov
+    (Penalty.expected_annual ?params ?obs ?scenarios ?batch prov likelihood)
+
 let design ?params ?obs ?scenarios ?batch design likelihood =
   Result.map
     (fun prov -> provisioned ?params ?obs ?scenarios ?batch prov likelihood)
     (Provision.minimum design)
+
+type move =
+  | Windows of App.id
+  | Growth of Provision.growth
+
+let reads_array (fp : Simulate.footprint) s =
+  List.exists (Slot.Array_slot.equal s) fp.arrays
+
+let reads_tape (fp : Simulate.footprint) s =
+  List.exists (Slot.Tape_slot.equal s) fp.tapes
+
+let reads_link (fp : Simulate.footprint) p =
+  List.exists (Slot.Pair.equal p) fp.links
+
+(* Which scenarios a move can change (DESIGN.md §17). A growth move adds
+   bandwidth at one device and nothing else. A window trial rewrites one
+   app's backup chain: that app's own recovery changes, and its devices'
+   capacity demand — hence provisioned units — may change, so devices
+   whose deliverable or demanded bandwidth moved are dirty too. Other
+   devices keep their demand and so their minimum provisioning. *)
+let dirty_test (before : Provision.t) (after : Provision.t) = function
+  | Growth (Provision.Grow_array s) -> fun fp -> reads_array fp s
+  | Growth (Provision.Grow_tape_drive s) -> fun fp -> reads_tape fp s
+  | Growth (Provision.Grow_link p) -> fun fp -> reads_link fp p
+  | Windows id ->
+    let own =
+      match Design.find before.Provision.design id with
+      | Some asg -> Simulate.footprint_of [ asg ]
+      | None -> invalid_arg "Evaluate.update: window move on an unassigned app"
+    in
+    let moved bw use s =
+      not (Rate.equal (bw before s) (bw after s)
+           && Rate.equal (use before.Provision.demand s)
+                (use after.Provision.demand s))
+    in
+    let arrays =
+      List.filter
+        (moved Provision.array_bw (fun d s ->
+             (Demand.array_use d s).Demand.bandwidth))
+        own.arrays
+    in
+    let tapes =
+      List.filter
+        (moved Provision.tape_bw (fun d s ->
+             (Demand.tape_use d s).Demand.tape_bandwidth))
+        own.tapes
+    in
+    let links = List.filter (moved Provision.link_bw Demand.link_use) own.links in
+    fun fp ->
+      List.mem id fp.apps
+      || List.exists (reads_array fp) arrays
+      || List.exists (reads_tape fp) tapes
+      || List.exists (reads_link fp) links
+
+let update ?params ?obs ?batch ~footprints base move prov =
+  let details = base.penalty.Penalty.details in
+  if Array.length footprints <> List.length details then
+    invalid_arg "Evaluate.update: one footprint per scenario of the base";
+  let batch =
+    match batch with
+    | Some b -> b
+    | None -> Simulate.batch (Option.value ~default:Ds_obs.Obs.noop obs)
+  in
+  Simulate.incr_evaluations batch;
+  let dirty = dirty_test base.provision prov move in
+  let reused = ref 0 in
+  let details =
+    List.mapi
+      (fun i ((scen, _) as entry) ->
+         let fp = footprints.(i) in
+         if dirty fp then (scen, Simulate.scenario ?params ?obs ~batch prov scen)
+         else begin
+           if fp.Simulate.apps <> [] then incr reused;
+           entry
+         end)
+      details
+  in
+  Simulate.count_reused batch !reused;
+  of_penalty prov (Penalty.of_details prov details)
 
 let total t = Summary.total t.summary
 

@@ -35,9 +35,9 @@ let of_outcome ~annual_rate (o : Outcome.t) =
    list, instead of a hash table of freshly boxed triples per outcome.
    Outcomes always concern assigned apps (the simulator only recovers
    assignments of the same design), so the linear index probe over the
-   handful of apps never misses. *)
-let expected_annual ?params ?obs ?scenarios ?batch prov likelihood =
-  let details = Simulate.all ?params ?obs ?scenarios ?batch prov likelihood in
+   handful of apps never misses. Sums run in [details] order, so equal
+   logs give bit-identical totals however they were obtained. *)
+let of_details prov details =
   let apps =
     Array.of_list
       (List.map
@@ -93,3 +93,6 @@ let expected_annual ?params ?obs ?scenarios ?batch prov likelihood =
     loss_total = Money.dollars !loss_total;
     by_app;
     details }
+
+let expected_annual ?params ?obs ?scenarios ?batch prov likelihood =
+  of_details prov (Simulate.all ?params ?obs ?scenarios ?batch prov likelihood)

@@ -37,5 +37,12 @@ val expected_annual :
     [batch] short-circuit enumeration and instrument resolution (see
     {!Ds_recovery.Simulate.all}). *)
 
+val of_details : Provision.t -> (Scenario.t * Outcome.t list) list -> t
+(** The penalty of a simulation log, summed in log order: what
+    {!expected_annual} returns for the log {!Ds_recovery.Simulate.all}
+    produces. The incremental evaluator re-sums a log in which only some
+    scenarios were simulated again; equal logs give bit-identical
+    totals. *)
+
 val of_outcome : annual_rate:float -> Outcome.t -> Money.t * Money.t
 (** [(outage, loss)] contribution of one simulated outcome, weighted. *)

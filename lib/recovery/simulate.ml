@@ -41,6 +41,7 @@ type batch = {
   scenarios_c : Metrics.counter option;
   affected_c : Metrics.counter option;
   unrecoverable_c : Metrics.counter option;
+  reused_c : Metrics.counter option;
   (* Owned by the cost layer (Evaluate), carried here so the per-trial
      evaluation counter rides the same pre-resolved instrument cache. *)
   evaluations_c : Metrics.counter option;
@@ -62,6 +63,7 @@ let batch obs =
     scenarios_c = counter "recovery.scenarios";
     affected_c = counter "recovery.affected";
     unrecoverable_c = counter "recovery.unrecoverable";
+    reused_c = counter "recovery.reused";
     evaluations_c = counter "cost.evaluations";
     array_ids = Atomic.make [];
     tape_ids = Atomic.make [];
@@ -147,6 +149,31 @@ let incr_opt = function Some c -> Metrics.incr c | None -> ()
 let add_opt c n = match c with Some c -> Metrics.add c n | None -> ()
 
 let incr_evaluations b = incr_opt b.evaluations_c
+let count_reused b n = add_opt b.reused_c n
+
+(* Duplicates are harmless: the lists only answer membership. *)
+type footprint = {
+  apps : App.id list;
+  arrays : Slot.Array_slot.t list;
+  tapes : Slot.Tape_slot.t list;
+  links : Slot.Pair.t list;
+}
+
+let footprint_of affected =
+  let cons_opt o l = match o with Some x -> x :: l | None -> l in
+  List.fold_right
+    (fun (a : Assignment.t) fp ->
+       { apps = a.app.App.id :: fp.apps;
+         arrays = a.primary :: cons_opt a.mirror fp.arrays;
+         tapes = cons_opt a.backup fp.tapes;
+         links =
+           cons_opt (Assignment.mirror_pair a)
+             (cons_opt (Assignment.backup_pair a) fp.links) })
+    affected
+    { apps = []; arrays = []; tapes = []; links = [] }
+
+let footprint design (scen : Scenario.t) =
+  footprint_of (Scenario.affected design scen.Scenario.scope)
 
 (* Residual load = total demand minus the affected apps' shares — the
    affected set is a handful of assignments, so this replaces a
@@ -337,8 +364,10 @@ let scenario_in ~params ~obs b prov (scen : Scenario.t) =
       jobs
   end
 
-let scenario ?(params = Recovery_params.default) ?(obs = Obs.noop) prov scen =
-  scenario_in ~params ~obs (batch obs) prov scen
+let scenario ?(params = Recovery_params.default) ?(obs = Obs.noop) ?batch:b
+    prov scen =
+  let b = match b with Some b -> b | None -> batch obs in
+  scenario_in ~params ~obs b prov scen
 
 let all ?(params = Recovery_params.default) ?(obs = Obs.noop) ?scenarios ?batch:b
     prov likelihood =

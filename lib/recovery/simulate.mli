@@ -31,17 +31,6 @@ val tape_propagation : Provision.t -> Ds_design.Assignment.t -> Time.t
 (** Time a full backup takes with the provisioned drives (used both for
     tape staleness and vault cut-off). Zero for backup-less techniques. *)
 
-val scenario :
-  ?params:Recovery_params.t ->
-  ?obs:Obs.t ->
-  Provision.t ->
-  Scenario.t ->
-  Outcome.t list
-(** Outcomes for every application affected by the scenario (empty when
-    none are). [obs] feeds the shared engine's device metrics plus
-    [recovery.scenarios] / [recovery.affected] / [recovery.unrecoverable]
-    counters and a [recovery.scenario] span. *)
-
 type batch
 (** Pre-resolved metric instruments (engine meters, device gauges,
     recovery counters) shared across the simulations of a batch. *)
@@ -52,10 +41,55 @@ val batch : Obs.t -> batch
     registry (trace lanes may differ); sharing it across parallel
     workers is safe — see the implementation note. *)
 
+val scenario :
+  ?params:Recovery_params.t ->
+  ?obs:Obs.t ->
+  ?batch:batch ->
+  Provision.t ->
+  Scenario.t ->
+  Outcome.t list
+(** Outcomes for every application affected by the scenario (empty when
+    none are). [obs] feeds the shared engine's device metrics plus
+    [recovery.scenarios] / [recovery.affected] / [recovery.unrecoverable]
+    counters and a [recovery.scenario] span; these count simulations
+    actually run. [batch] supplies the instruments pre-resolved; without
+    it each call resolves its own. *)
+
 val incr_evaluations : batch -> unit
 (** Bumps the [cost.evaluations] counter carried by the batch (no-op
     without a metrics registry). The cost layer calls this once per
     candidate evaluation instead of a by-name registry lookup. *)
+
+val count_reused : batch -> int -> unit
+(** Adds to the [recovery.reused] counter: scenarios with affected apps
+    whose outcomes an incremental evaluation kept instead of simulating
+    them again. *)
+
+(** {2 Footprints}
+
+    A scenario's outcomes are a function of the recovery parameters, the
+    scenario, the affected apps' assignments, and the provisioned and
+    demanded bandwidth of the devices their recovery can cross. The
+    footprint names those apps and devices, so a move that touches none
+    of them leaves the scenario's outcomes unchanged (DESIGN.md §17). *)
+
+type footprint = {
+  apps : Ds_workload.App.id list;  (** The affected apps. *)
+  arrays : Ds_resources.Slot.Array_slot.t list;
+      (** Their primary and mirror arrays. *)
+  tapes : Ds_resources.Slot.Tape_slot.t list;  (** Their backup libraries. *)
+  links : Ds_resources.Slot.Pair.t list;
+      (** Their mirror and backup site pairs. *)
+}
+
+val footprint_of : Ds_design.Assignment.t list -> footprint
+(** The apps and devices of these assignments. *)
+
+val footprint : Ds_design.Design.t -> Scenario.t -> footprint
+(** [footprint_of] the scenario's affected assignments; empty when the
+    scenario affects no app. Window and growth moves change neither
+    placement nor the enumeration, so one footprint per scenario serves
+    every trial of a configuration solve. *)
 
 val all :
   ?params:Recovery_params.t ->

@@ -157,36 +157,38 @@ let simulate ?params ?(years = 10_000) ?(tilt = default_tilt)
   if Float.is_nan z || z <= 0. then
     invalid_arg "Tail_sim.simulate: z must be positive";
   Obs.with_span obs "risk.tail_sim" @@ fun () ->
-  let design = prov.Provision.design in
-  let scenarios = Array.of_list (Scenario.enumerate likelihood design) in
-  let models =
-    Array.map
-      (fun (scen : Scenario.t) ->
-         let outcomes = Simulate.scenario ?params ~obs prov scen in
-         let cost =
-           List.fold_left
-             (fun acc outcome ->
-                let o, l = Penalty.of_outcome ~annual_rate:1. outcome in
-                acc +. Money.to_dollars o +. Money.to_dollars l)
-             0. outcomes
-         in
-         let down =
-           List.fold_left
-             (fun acc (outcome : Outcome.t) ->
-                let h = Time.to_hours outcome.Outcome.recovery_time in
-                let h =
-                  if Float.is_finite h then Float.min h hours_per_year
-                  else hours_per_year
-                in
-                Float.max acc h)
-             0. outcomes
-         in
-         { rate = scen.Scenario.annual_rate;
-           cls = Scenario.scope_class scen.Scenario.scope;
-           cost;
-           down })
-      scenarios
+  let scenarios = Scenario.enumerate likelihood prov.Provision.design in
+  let model ((scen : Scenario.t), outcomes) =
+    let cost =
+      List.fold_left
+        (fun acc outcome ->
+           let o, l = Penalty.of_outcome ~annual_rate:1. outcome in
+           acc +. Money.to_dollars o +. Money.to_dollars l)
+        0. outcomes
+    in
+    let down =
+      List.fold_left
+        (fun acc (outcome : Outcome.t) ->
+           let h = Time.to_hours outcome.Outcome.recovery_time in
+           let h =
+             if Float.is_finite h then Float.min h hours_per_year
+             else hours_per_year
+           in
+           Float.max acc h)
+        0. outcomes
+    in
+    { rate = scen.Scenario.annual_rate;
+      cls = Scenario.scope_class scen.Scenario.scope;
+      cost;
+      down }
   in
+  (* One [Simulate.all] batch: the simulator's instruments are resolved
+     once per run, not once per scenario. *)
+  let models =
+    Array.of_list
+      (List.map model (Simulate.all ?params ~obs ~scenarios prov likelihood))
+  in
+  let scenarios = Array.of_list scenarios in
   let strata_specs =
     let nominal = ("nominal", None) in
     match strategy with
@@ -396,27 +398,33 @@ let check_quantile fn q =
   if Float.is_nan q || q < 0. || q > 1. then
     invalid_arg (fn ^ ": q outside [0, 1]")
 
-let tail_percentile t q =
-  check_quantile "Tail_sim.tail_percentile" q;
-  let items = ref [] in
+(* One weighted sort serves every quantile asked for. Samples fill the
+   array last one first: [Array.sort] is not stable, and this is the
+   order the pinned [--sla] quantiles were computed in, so ties (and the
+   cumulative weights across them) land where they always have. *)
+let percentiles fn t qs =
+  List.iter (check_quantile fn) qs;
+  let n = Array.fold_left (fun acc chunk -> acc + Array.length chunk) 0 t.samples in
+  let arr = Array.make n (0., 0.) in
+  let k = ref n in
   Array.iteri
     (fun s (chunk : year_sample array) ->
-       let n = Array.length chunk in
-       if n > 0 then begin
-         let scale = t.strata.(s).share /. float_of_int n in
+       let len = Array.length chunk in
+       if len > 0 then begin
+         let scale = t.strata.(s).share /. float_of_int len in
          Array.iter
-           (fun smp -> items := (smp.total, scale *. exp smp.log_weight) :: !items)
+           (fun smp ->
+              decr k;
+              arr.(!k) <- (smp.total, scale *. exp smp.log_weight))
            chunk
        end)
     t.samples;
-  let arr = Array.of_list !items in
-  if Array.length arr = 0 then Money.zero
-  else begin
-    Array.sort (fun (a, _) (b, _) -> Float.compare a b) arr;
-    let total_weight = Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr in
-    if total_weight <= 0. then Money.zero
+  Array.sort (fun (a, _) (b, _) -> Float.compare a b) arr;
+  let total_weight = Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr in
+  let quantile q =
+    if n = 0 || total_weight <= 0. then Money.zero
     else begin
-      let value = ref (fst arr.(Array.length arr - 1)) in
+      let value = ref (fst arr.(n - 1)) in
       (try
          let cum = ref 0. in
          Array.iter
@@ -430,7 +438,13 @@ let tail_percentile t q =
        with Exit -> ());
       Money.dollars !value
     end
-  end
+  in
+  List.map quantile qs
+
+let tail_percentiles t qs = percentiles "Tail_sim.tail_percentiles" t qs
+
+let tail_percentile t q =
+  List.hd (percentiles "Tail_sim.tail_percentile" t [ q ])
 
 type verdict = Pass | Fail | Inconclusive
 
@@ -513,6 +527,11 @@ let pp_estimate ppf e =
   Format.fprintf ppf "%.6g [%.6g, %.6g]" e.value e.lower e.upper
 
 let pp ppf t =
+  let p99, p999, p9999 =
+    match tail_percentiles t [ 0.99; 0.999; 0.9999 ] with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
   Format.fprintf ppf
     "@[<v>rare-event tail over %d years (%d strata, tilt %.3g, z %.3g): \
      ESS %.1f@,\
@@ -520,11 +539,8 @@ let pp ppf t =
      expected annual downtime: %a hours (unavailability %a)@,\
      annual penalty p99: %a, p99.9: %a, p99.99: %a@]"
     t.years (Array.length t.strata) t.tilt t.z t.ess pp_estimate t.mean_total
-    pp_estimate t.mean_downtime pp_estimate t.unavailability Money.pp
-    (tail_percentile t 0.99) Money.pp
-    (tail_percentile t 0.999)
-    Money.pp
-    (tail_percentile t 0.9999)
+    pp_estimate t.mean_downtime pp_estimate t.unavailability Money.pp p99
+    Money.pp p999 Money.pp p9999
 
 let pp_certification ppf c =
   Format.fprintf ppf

@@ -152,6 +152,11 @@ val tail_percentile : t -> float -> Money.t
     (ratio) estimates, so unlike {!exceedance} they carry no CI here.
     @raise Invalid_argument outside [0, 1] (NaN included). *)
 
+val tail_percentiles : t -> float list -> Money.t list
+(** {!tail_percentile} at each [q], in order, from one weighted sort of
+    the samples ({!pp} reads its three quantiles this way).
+    @raise Invalid_argument if any [q] is outside [0, 1]. *)
+
 val check_quantile : string -> float -> unit
 (** [check_quantile fn q] is the one range check behind every
     percentile reader here and in {!Year_sim}: it returns when

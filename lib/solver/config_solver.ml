@@ -134,10 +134,6 @@ let with_windows design (asg : Assignment.t) ~snapshot_win ~tape_win ~fulls_ever
      | Some design -> Ok design
      | None -> Error "app not assigned")
 
-let evaluate ~options ?obs ?scenarios ?batch design likelihood =
-  Evaluate.design ~params:options.recovery ?obs ?scenarios ?batch design
-    likelihood
-
 (* Coordinate-descent over the window menus, one app at a time in
    descending penalty order; each combination is evaluated against the
    full candidate (Section 3.2: exhaustive search over the discretized
@@ -151,9 +147,9 @@ let evaluate ~options ?obs ?scenarios ?batch design likelihood =
    byte-identical to one built from the app-entry design. The fold is
    therefore an argmin over independent trials, taken here in combo-index
    order with the strict-[<] first-wins tie-breaking of the original
-   loop. *)
-let optimize_windows ~options ~obs ~pool ~scenarios ~batch design likelihood
-    current_eval =
+   loop. Each trial is costed from the app-entry evaluation, re-simulating
+   only the scenarios the app's new windows can change. *)
+let optimize_windows ~options ~obs ~pool ~footprints ~batch design current_eval =
   let scope_ids =
     match options.window_scope with
     | All_apps ->
@@ -188,6 +184,7 @@ let optimize_windows ~options ~obs ~pool ~scenarios ~batch design likelihood
   in
   List.fold_left
     (fun (design, eval) (asg : Assignment.t) ->
+       let move = Evaluate.Windows asg.app.App.id in
        let trials =
          Exec.map pool ~label:"config.windows" ~obs
            (fun wobs _ (snapshot_win, tape_win, fulls_every) ->
@@ -199,11 +196,13 @@ let optimize_windows ~options ~obs ~pool ~scenarios ~batch design likelihood
                 (match trials_c with
                  | Some c -> Obs.Metrics.incr c
                  | None -> ());
-                (match
-                   evaluate ~options ~obs:wobs ~scenarios ~batch trial likelihood
-                 with
+                (match Provision.minimum trial with
                  | Error _ -> None
-                 | Ok trial_eval -> Some (trial, trial_eval)))
+                 | Ok prov ->
+                   Some
+                     ( trial,
+                       Evaluate.update ~params:options.recovery ~obs:wobs
+                         ~batch ~footprints eval move prov )))
            combos
        in
        Array.fold_left
@@ -223,8 +222,9 @@ let optimize_windows ~options ~obs ~pool ~scenarios ~batch design likelihood
    produces any cost savings"). Each round's candidate moves are
    independent (all grown from the round-entry provisioning), so they
    evaluate in parallel on [pool]; the winner is picked in move-index
-   order with the original strict-[<] first-wins tie-breaking. *)
-let grow_resources ~options ~obs ~pool ~scenarios ~batch eval likelihood =
+   order with the original strict-[<] first-wins tie-breaking. A move
+   re-simulates only the scenarios that read the grown device. *)
+let grow_resources ~options ~obs ~pool ~footprints ~batch eval =
   let recovery = options.recovery in
   let rec loop eval steps =
     if steps >= options.max_growth_steps then eval
@@ -238,8 +238,9 @@ let grow_resources ~options ~obs ~pool ~scenarios ~batch eval likelihood =
              match Provision.grow eval.Evaluate.provision move with
              | None -> None
              | Some prov ->
-               Some (Evaluate.provisioned ~params:recovery ~obs:wobs ~scenarios
-                       ~batch prov likelihood))
+               Some
+                 (Evaluate.update ~params:recovery ~obs:wobs ~batch ~footprints
+                    eval (Evaluate.Growth move) prov))
           moves
       in
       let improved =
@@ -270,22 +271,23 @@ let grow_resources ~options ~obs ~pool ~scenarios ~batch eval likelihood =
 let solve_fresh ~options ~obs ~pool design likelihood =
   (* One enumeration serves the whole solve: window trials rewrite backup
      chains and growth trials re-provision, but neither moves an app or a
-     slot, so [Scenario.enumerate] is invariant across every trial
-     evaluated below. *)
+     slot, so [Scenario.enumerate] — and each scenario's footprint — is
+     invariant across every trial evaluated below. *)
   let scenarios = Scenario.enumerate likelihood design in
+  let footprints = Array.of_list (List.map (Simulate.footprint design) scenarios) in
   (* Likewise one instrument batch: worker [obs] values only differ from
      [obs] by their trace lane; the metrics registry is shared. *)
   let batch = Simulate.batch obs in
-  match evaluate ~options ~obs ~scenarios ~batch design likelihood with
+  match
+    Evaluate.design ~params:options.recovery ~obs ~scenarios ~batch design
+      likelihood
+  with
   | Error _ as e -> e
   | Ok eval ->
     let design, eval =
-      optimize_windows ~options ~obs ~pool ~scenarios ~batch design likelihood
-        eval
+      optimize_windows ~options ~obs ~pool ~footprints ~batch design eval
     in
-    let eval =
-      grow_resources ~options ~obs ~pool ~scenarios ~batch eval likelihood
-    in
+    let eval = grow_resources ~options ~obs ~pool ~footprints ~batch eval in
     Ok (Candidate.v design eval)
 
 let solve ?(options = default_options) ?(obs = Obs.noop)

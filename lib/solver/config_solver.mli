@@ -73,6 +73,12 @@ val solve :
     counters, and flows into the cost evaluator and recovery simulator;
     it never changes the result.
 
+    The design is evaluated from scratch once; every window trial and
+    growth move is then costed with {!Ds_cost.Evaluate.update} from the
+    evaluation it starts from, simulating again only the failure
+    scenarios the move can change — bit-identical to a from-scratch
+    evaluation (DESIGN.md §17).
+
     [pool] (default sequential) spreads the window-trial and
     growth-move evaluations across domains. The pool is pure
     scheduling: trials are independent within a coordinate-descent /

@@ -158,8 +158,235 @@ let evaluate_tests =
           check_bool "penalties not worse" true (penalties after <= penalties base +. 1e-6)
         | None -> Alcotest.fail "grow failed") ]
 
+(* The incremental evaluator against its from-scratch oracle. Inputs are
+   fixed-seed solved designs plus one partial greedy design; every
+   default-menu window combination of every backup-bearing app and every
+   growth move is costed both ways and must agree bit for bit. *)
+module Simulate = Recovery.Simulate
+module Scenario = Failure.Scenario
+module Assignment = Design.Assignment
+module Backup = Protection.Backup
+module Technique = Protection.Technique
+module Candidate = Solver.Candidate
+module Config_solver = Solver.Config_solver
+module Request = Experiments.Request
+
+let likelihood = Likelihood.default
+
+let solved ?apps env ~seed () =
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Request.error_message e)
+  in
+  let env, apps = ok (Request.instance ?apps env) in
+  let budget = ok (Request.budget ~seed "quick") in
+  Request.best
+    (ok
+       (Request.run_solve
+          { Request.env; apps; likelihood; budget; deadline_s = None }))
+
+(* Greedy placement of the first three of the quad six-app mix: a design
+   that leaves apps out. *)
+let partial_greedy () =
+  match Request.instance ~apps:6 "quad" with
+  | Error e -> Alcotest.fail (Request.error_message e)
+  | Ok (env, apps) ->
+    let params = Experiments.Budgets.quick.Experiments.Budgets.solver in
+    let state =
+      Solver.Reconfigure.state ~options:params.Solver.Design_solver.options
+        ~rng:(Prng.Rng.of_int 5) likelihood
+    in
+    (match
+       Solver.Design_solver.greedy state params env
+         (List.filteri (fun i _ -> i < 3) apps)
+     with
+     | Some c -> c
+     | None -> Alcotest.fail "greedy found no design")
+
+(* The two-app fixture shares one array below its controller ceiling, so
+   a window trial on one app re-sizes the array and moves its bandwidth
+   under the other app's recovery: the case the device rule exists for,
+   which capacity-sized solved designs (at the ceiling) rarely reach. *)
+let shared_array () =
+  let design = Fixtures.two_app_design () in
+  Candidate.v design (Fixtures.feasible (Evaluate.design design likelihood))
+
+let oracle_inputs =
+  lazy
+    [ ("quad 6 apps seed 7", solved ~apps:6 "quad" ~seed:7 ());
+      ("quad 6 apps seed 11", solved ~apps:6 "quad" ~seed:11 ());
+      ("peer seed 3", solved "peer" ~seed:3 ());
+      ("partial greedy", partial_greedy ());
+      ("shared array", shared_array ()) ]
+
+let footprints_of design =
+  Array.of_list
+    (List.map (Simulate.footprint design) (Scenario.enumerate likelihood design))
+
+(* Bit-for-bit agreement of two evaluations: totals, every per-app entry
+   and every scenario's outcome list. *)
+let agrees (a : Evaluate.t) (b : Evaluate.t) =
+  let bits m = Int64.bits_of_float (Money.to_dollars m) in
+  let pa = a.Evaluate.penalty and pb = b.Evaluate.penalty in
+  bits pa.Penalty.outage_total = bits pb.Penalty.outage_total
+  && bits pa.Penalty.loss_total = bits pb.Penalty.loss_total
+  && bits (Evaluate.total a) = bits (Evaluate.total b)
+  && List.length pa.Penalty.by_app = List.length pb.Penalty.by_app
+  && List.for_all2
+       (fun (x : Penalty.per_app) (y : Penalty.per_app) ->
+          x.Penalty.app.App.id = y.Penalty.app.App.id
+          && bits x.Penalty.outage = bits y.Penalty.outage
+          && bits x.Penalty.loss = bits y.Penalty.loss)
+       pa.Penalty.by_app pb.Penalty.by_app
+  && List.length pa.Penalty.details = List.length pb.Penalty.details
+  && List.for_all2
+       (fun (s, o) (s', o') -> s = s' && o = o')
+       pa.Penalty.details pb.Penalty.details
+
+let window_combos =
+  let o = Config_solver.default_options in
+  List.concat_map
+    (fun sw ->
+       List.concat_map
+         (fun tw -> List.map (fun fe -> (sw, tw, fe)) o.Config_solver.fulls_menu)
+         o.Config_solver.tape_menu)
+    o.Config_solver.snapshot_menu
+
+let with_windows design (asg : Assignment.t) (sw, tw, fe) =
+  match asg.Assignment.technique.Technique.backup with
+  | None -> None
+  | Some chain ->
+    let chain =
+      Backup.with_fulls_every
+        (Backup.with_tape_win (Backup.with_snapshot_win chain sw) tw)
+        fe
+    in
+    D.swap_technique design asg.Assignment.app.App.id
+      (Technique.with_backup_chain asg.Assignment.technique chain)
+
+(* Window trials app by app, each app's trials costed from the previous
+   app's last trial — the chain the configuration solver builds when a
+   trial wins. Returns the number of trials checked. *)
+let check_windows name design =
+  let footprints = footprints_of design in
+  let base = Fixtures.feasible (Evaluate.design design likelihood) in
+  let checked = ref 0 in
+  ignore
+    (List.fold_left
+       (fun (design, base) (asg : Assignment.t) ->
+          List.fold_left
+            (fun (design, base) combo ->
+               match with_windows design asg combo with
+               | None -> (design, base)
+               | Some trial ->
+                 (match Provision.minimum trial with
+                  | Error _ -> (design, base)
+                  | Ok prov ->
+                    let got =
+                      Evaluate.update ~footprints base
+                        (Evaluate.Windows asg.Assignment.app.App.id) prov
+                    in
+                    incr checked;
+                    if not (agrees (Evaluate.provisioned prov likelihood) got)
+                    then
+                      Alcotest.failf "%s: window trial on app %d disagrees" name
+                        asg.Assignment.app.App.id;
+                    (trial, got)))
+            (design, base) window_combos)
+       (design, base)
+       (List.filter
+          (fun (a : Assignment.t) -> Technique.has_backup a.Assignment.technique)
+          (D.assignments design)));
+  !checked
+
+(* Every growth move from [base], then every move from the first move's
+   result — an incremental base, as in the solver's later rounds.
+   [report moves i] is the move handed to [update] for [moves.(i)];
+   the default reports it honestly. Returns (moves checked,
+   disagreements). *)
+let check_growth ?(report = Array.get) footprints base =
+  let checked = ref 0 and wrong = ref 0 in
+  let round base =
+    let moves = Array.of_list (Provision.growth_moves base.Evaluate.provision) in
+    Array.to_list
+      (Array.mapi
+         (fun i g ->
+            match Provision.grow base.Evaluate.provision g with
+            | None -> None
+            | Some prov ->
+              let got =
+                Evaluate.update ~footprints base
+                  (Evaluate.Growth (report moves i)) prov
+              in
+              incr checked;
+              if not (agrees (Evaluate.provisioned prov likelihood) got) then
+                incr wrong;
+              Some got)
+         moves)
+  in
+  (match List.find_map Fun.id (round base) with
+   | Some next -> ignore (round next)
+   | None -> ());
+  (!checked, !wrong)
+
+let incremental_tests =
+  [ Alcotest.test_case "window trials agree with a from-scratch evaluation"
+      `Slow (fun () ->
+        List.iter
+          (fun (name, (c : Candidate.t)) ->
+             check_bool (name ^ ": some window trials") true
+               (check_windows name c.Candidate.design > 0))
+          (Lazy.force oracle_inputs));
+    Alcotest.test_case "growth moves agree with a from-scratch evaluation"
+      `Slow (fun () ->
+        List.iter
+          (fun (name, (c : Candidate.t)) ->
+             let design = c.Candidate.design in
+             let footprints = footprints_of design in
+             List.iter
+               (fun (label, base) ->
+                  let checked, wrong = check_growth footprints base in
+                  check_bool (Printf.sprintf "%s, %s: some moves" name label)
+                    true (checked > 0);
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s, %s: disagreements" name label)
+                    0 wrong)
+               [ ("minimum", Fixtures.feasible (Evaluate.design design likelihood));
+                 ("solved",
+                  Evaluate.provisioned c.Candidate.eval.Evaluate.provision
+                    likelihood) ])
+          (Lazy.force oracle_inputs));
+    Alcotest.test_case "a move reported on the wrong device disagrees" `Slow
+      (fun () ->
+        (* The oracle can fail: crediting each growth move to the next
+           device in the move list leaves the grown device's scenarios
+           stale somewhere. *)
+        let wrong =
+          List.fold_left
+            (fun acc (_, (c : Candidate.t)) ->
+               let design = c.Candidate.design in
+               let base = Fixtures.feasible (Evaluate.design design likelihood) in
+               let next moves i = moves.((i + 1) mod Array.length moves) in
+               acc + snd (check_growth ~report:next (footprints_of design) base))
+            0 (Lazy.force oracle_inputs)
+        in
+        check_bool "some disagreement" true (wrong > 0));
+    Alcotest.test_case "footprints must match the base's scenarios" `Quick
+      (fun () ->
+        let base =
+          Fixtures.feasible (Evaluate.design (Fixtures.two_app_design ()) likelihood)
+        in
+        Alcotest.check_raises "length"
+          (Invalid_argument
+             "Evaluate.update: one footprint per scenario of the base")
+          (fun () ->
+             ignore
+               (Evaluate.update ~footprints:[||] base (Evaluate.Windows 1)
+                  base.Evaluate.provision))) ]
+
 let suites =
   [ ("cost.summary", summary_tests);
     ("cost.outlay", outlay_tests);
     ("cost.penalty", penalty_tests);
-    ("cost.evaluate", evaluate_tests) ]
+    ("cost.evaluate", evaluate_tests);
+    ("cost.incremental", incremental_tests) ]

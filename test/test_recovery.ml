@@ -299,5 +299,47 @@ let simulate_tests =
             |> List.for_all (fun (o : Outcome.t) ->
                 Time.(params.Params.detection <= o.Outcome.recovery_time)))) ]
 
+(* A footprint must name every device a scenario's recovery can read:
+   the incremental evaluator keeps a scenario's outcomes whenever a move
+   touches none of them. *)
+let footprint_tests =
+  let sort_arrays = List.sort_uniq Resources.Slot.Array_slot.compare in
+  let sort_tapes = List.sort_uniq Resources.Slot.Tape_slot.compare in
+  let sort_links = List.sort_uniq Resources.Slot.Pair.compare in
+  [ Alcotest.test_case "an assignment's footprint is every device it reads"
+      `Quick (fun () ->
+        let mirrored = full_asg T.async_reconstruct_backup in
+        let remote_tape =
+          Assignment.v ~app:Fixtures.s_app ~technique:T.tape_backup
+            ~primary:(Fixtures.slot 1 1) ~backup:(Fixtures.tape 2) ()
+        in
+        let fp = Simulate.footprint_of [ mirrored; remote_tape ] in
+        Alcotest.(check (list int)) "apps" [ 1; 4 ] fp.Simulate.apps;
+        check_bool "primaries and the mirror" true
+          (sort_arrays fp.Simulate.arrays
+           = sort_arrays [ Fixtures.slot 1 0; Fixtures.slot 2 0; Fixtures.slot 1 1 ]);
+        check_bool "both libraries" true
+          (sort_tapes fp.Simulate.tapes
+           = sort_tapes [ Fixtures.tape 1; Fixtures.tape 2 ]);
+        check_bool "the mirror pair and the remote backup pair" true
+          (sort_links fp.Simulate.links = [ Resources.Slot.Pair.v 1 2 ]
+           && List.length fp.Simulate.links = 2));
+    Alcotest.test_case "a scenario's footprint covers its affected apps"
+      `Quick (fun () ->
+        let design = Fixtures.two_app_design () in
+        let footprint scope =
+          Simulate.footprint design { Scenario.scope; annual_rate = 1. }
+        in
+        Alcotest.(check (list int)) "site disaster" [ 1; 4 ]
+          (footprint (Scenario.Site_disaster 1)).Simulate.apps;
+        Alcotest.(check (list int)) "data object" [ 4 ]
+          (footprint (Scenario.Data_object 4)).Simulate.apps;
+        let empty = footprint (Scenario.Site_disaster 2) in
+        check_bool "nothing affected, nothing read" true
+          (empty.Simulate.apps = [] && empty.Simulate.arrays = []
+           && empty.Simulate.tapes = [] && empty.Simulate.links = [])) ]
+
 let suites =
-  [ ("recovery.copies", copy_tests); ("recovery.simulate", simulate_tests) ]
+  [ ("recovery.copies", copy_tests);
+    ("recovery.simulate", simulate_tests);
+    ("recovery.footprint", footprint_tests) ]

@@ -382,6 +382,48 @@ let tail_tests =
         in
         check_bool "exceedance decreasing and in [0,1]" true
           (exc_low >= exc_high && exc_low <= 1. && exc_high >= 0.));
+    Alcotest.test_case "one sort serves every tail quantile" `Quick (fun () ->
+        let prov = prov_of (Fixtures.two_app_design ()) in
+        let t = Tail_sim.simulate ~years:4_000 (Rng.of_int 36) prov likelihood in
+        let qs = [ 0.; 0.5; 0.99; 0.999; 0.9999; 1. ] in
+        (* The list-building, per-call sort [tail_percentile] used before
+           one sort served all quantiles. *)
+        let reference q =
+          let items = ref [] in
+          Array.iteri
+            (fun s (chunk : Tail_sim.year_sample array) ->
+               let scale =
+                 t.Tail_sim.strata.(s).Tail_sim.share
+                 /. float_of_int (Array.length chunk)
+               in
+               Array.iter
+                 (fun (smp : Tail_sim.year_sample) ->
+                    items :=
+                      (smp.Tail_sim.total, scale *. exp smp.Tail_sim.log_weight)
+                      :: !items)
+                 chunk)
+            t.Tail_sim.samples;
+          let arr = Array.of_list !items in
+          Array.sort (fun (a, _) (b, _) -> Float.compare a b) arr;
+          let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr in
+          let cum = ref 0. and found = ref None in
+          Array.iter
+            (fun (v, w) ->
+               cum := !cum +. (w /. total);
+               if !found = None && !cum > q then found := Some v)
+            arr;
+          Option.value ~default:(fst arr.(Array.length arr - 1)) !found
+        in
+        let hex m = Printf.sprintf "%h" (Money.to_dollars m) in
+        Alcotest.(check (list string)) "one call = single calls"
+          (List.map (fun q -> hex (Tail_sim.tail_percentile t q)) qs)
+          (List.map hex (Tail_sim.tail_percentiles t qs));
+        Alcotest.(check (list string)) "single calls = the old sort"
+          (List.map (fun q -> Printf.sprintf "%h" (reference q)) qs)
+          (List.map (fun q -> hex (Tail_sim.tail_percentile t q)) qs);
+        Alcotest.check_raises "range checked"
+          (Invalid_argument "Tail_sim.tail_percentiles: q outside [0, 1]")
+          (fun () -> ignore (Tail_sim.tail_percentiles t [ 0.5; -0.1 ])));
     Alcotest.test_case "certify fails default rates at eleven nines" `Quick
       (fun () ->
         let prov = prov_of (Fixtures.two_app_design ()) in

@@ -732,6 +732,49 @@ let fingerprint_tests =
            (String.equal (D.fingerprint d1) (D.fingerprint d2))
          && (s1 <> s2 || D.equal d1 d2)) ]
 
+(* ------------------------------------------------------------------ *)
+(* Fixed-seed pins: figures recorded before window and growth trials
+   became incremental, so the design, its cost and the search work may
+   not move; only the split of scenario outcomes between simulated and
+   reused may. Pinned at one domain: [Memo] computes outside its lock,
+   so a wider pool can race two misses into one extra config solve. *)
+(* ------------------------------------------------------------------ *)
+
+let pin_tests =
+  [ Alcotest.test_case "quad, 6 apps, quick, seed 7 keeps its pins" `Slow
+      (fun () ->
+        let module R = Experiments.Request in
+        let ok = function
+          | Ok v -> v
+          | Error e -> Alcotest.fail (R.error_message e)
+        in
+        let env, apps = ok (R.instance ~apps:6 "quad") in
+        let budget = ok (R.budget ~domains:1 ~seed:7 "quick") in
+        let obs = Obs.create ~metrics:true () in
+        let best =
+          R.best
+            (ok
+               (R.run_solve ~obs
+                  { R.env; apps; likelihood; budget; deadline_s = None }))
+        in
+        let count name =
+          Obs.Metrics.count
+            (Obs.Metrics.counter (Option.get (Obs.metrics obs)) name)
+        in
+        Alcotest.(check string) "design digest"
+          "9ea447313ec6bbd0e7d1e5f90beb7354"
+          (Digest.to_hex
+             (Digest.string (Design.Design_io.to_string best.Candidate.design)));
+        Alcotest.(check string) "cost" "0x1.8eaff93c9367fp+25"
+          (Printf.sprintf "%h" (Money.to_dollars (Candidate.cost best)));
+        check_int "solver.evaluations" 743 (count "solver.evaluations");
+        let simulated = count "recovery.scenarios" in
+        check_int "every scenario outcome simulated or reused" 94_554
+          (simulated + count "recovery.reused");
+        check_bool
+          (Printf.sprintf "at most half simulated (%d)" simulated)
+          true (simulated <= 47_277)) ]
+
 let suites =
   [ ("solver.layout", layout_tests);
     ("solver.config", config_tests);
@@ -739,4 +782,5 @@ let suites =
     ("solver.design_solver", design_solver_tests);
     ("solver.resolve", resolve_tests);
     ("solver.memo", memo_tests);
-    ("solver.fingerprint", fingerprint_tests) ]
+    ("solver.fingerprint", fingerprint_tests);
+    ("solver.pins", pin_tests) ]
