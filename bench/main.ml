@@ -84,6 +84,9 @@ let timed label f =
   Format.fprintf fmt "@.[%s took %.1fs]@." label dt;
   r
 
+(* The instrument-overhead section's summary object, once it has run. *)
+let overhead_json : string option ref = ref None
+
 let json_escape s =
   String.concat ""
     (List.map
@@ -148,6 +151,10 @@ let write_results ~total () =
      Buffer.add_string buf
        (Printf.sprintf "\"profile\":%s,"
           (Obs.Prof.to_json (Obs.Prof.capture ~label:"bench" ~registry:reg ())))
+   | None -> ());
+  (match !overhead_json with
+   | Some json ->
+     Buffer.add_string buf (Printf.sprintf "\"instrument_overhead\":%s," json)
    | None -> ());
   Buffer.add_string buf (Printf.sprintf "\"total_seconds\":%.3f}" total);
   let oc = open_out path in
@@ -771,6 +778,114 @@ let serve_roundtrips () =
     (1e3 *. Obs.Metrics.percentile lat 0.99)
     rounds (int_of_float hits)
 
+(* Plain against metered solves of one problem shape, interleaved on one
+   domain: what leaving metrics on costs, as [dstool serve] always does.
+   Allocation and registry locking are deterministic, so they are gated
+   fatally: metered minor words may exceed plain by at most 2%, and once
+   a warm-up has created every instrument, the measured metered solves
+   must not take the registry lock at all. The wall ratio is only
+   reported (median and quartiles of the per-pair ratios): pairs on a
+   shared VM spread by about +-0.05. *)
+let instrument_overhead () =
+  section "Instrument overhead (quad, 6 apps, quick)";
+  let module R = E.Request in
+  let ok = function
+    | Ok v -> v
+    | Error e ->
+      prerr_endline ("FATAL: instrument overhead: " ^ R.error_message e);
+      exit 1
+  in
+  let env, apps = ok (R.instance ~apps:6 "quad") in
+  let solve ~seed obs =
+    let budget = ok (R.budget ~domains:1 ~seed "quick") in
+    ignore
+      (R.best
+         (ok
+            (R.run_solve ~obs
+               { R.env; apps; likelihood = Likelihood.default; budget;
+                 deadline_s = None })))
+  in
+  let registry = Obs.Metrics.create () in
+  let metered = Obs.attach ~metrics:registry () in
+  let registry_locks () =
+    Obs.Lockstat.acquisitions
+      (List.assoc "metrics.registry" (Obs.Metrics.lock_stats registry))
+  in
+  let seeds = [ 7; 8; 9; 10 ] in
+  List.iter (fun seed -> solve ~seed metered) seeds;
+  let locks0 = registry_locks () in
+  (* One leg: its section (seconds and Gc deltas in the JSON) and its
+     exact minor words, from this domain's allocation counter. *)
+  let leg kind round seed obs =
+    let label = Printf.sprintf "overhead %s seed %d round %d" kind seed round in
+    let w0 = Gc.minor_words () in
+    timed label (fun () -> solve ~seed obs);
+    (List.assoc label !sections, Gc.minor_words () -. w0)
+  in
+  let pairs =
+    List.concat_map
+      (fun round ->
+         List.mapi
+           (fun i seed ->
+              (* Alternate which side runs first. *)
+              if (i + round) mod 2 = 0 then
+                let plain = leg "plain" round seed Obs.noop in
+                (plain, leg "metered" round seed metered)
+              else
+                let m = leg "metered" round seed metered in
+                (leg "plain" round seed Obs.noop, m))
+           seeds)
+      [ 1; 2 ]
+  in
+  let warm_locks = registry_locks () - locks0 in
+  let sum f = List.fold_left (fun acc p -> acc +. f p) 0. pairs in
+  let plain_words = sum (fun ((_, w), _) -> w) in
+  let metered_words = sum (fun (_, (_, w)) -> w) in
+  let words_ratio = metered_words /. plain_words in
+  let ratios =
+    List.map (fun ((p, _), (m, _)) -> m /. p) pairs
+    |> List.sort Float.compare |> Array.of_list
+  in
+  let rank q =
+    ratios.(min (Array.length ratios - 1)
+              (int_of_float (q *. float_of_int (Array.length ratios))))
+  in
+  let q1, median, q3 = (rank 0.25, rank 0.5, rank 0.75) in
+  Format.fprintf fmt
+    "%d pairs over seeds %s: metered/plain wall ratio median %.3f \
+     (quartiles %.3f-%.3f, not gated); minor words %.1f -> %.1f Mw \
+     (%.4fx, gate 1.02x); registry locks in the warm metered solves: %d \
+     (gate 0)@."
+    (List.length pairs)
+    (String.concat "," (List.map string_of_int seeds))
+    median q1 q3 (plain_words /. 1e6) (metered_words /. 1e6) words_ratio
+    warm_locks;
+  overhead_json :=
+    Some
+      (Printf.sprintf
+         "{\"pairs\":%d,\"wall_ratio_median\":%.4f,\"wall_ratio_q1\":%.4f,\
+          \"wall_ratio_q3\":%.4f,\"plain_minor_words\":%.0f,\
+          \"metered_minor_words\":%.0f,\"minor_words_ratio\":%.5f,\
+          \"warm_registry_locks\":%d}"
+         (List.length pairs) median q1 q3 plain_words metered_words
+         words_ratio warm_locks);
+  if words_ratio > 1.02 then begin
+    prerr_endline
+      (Printf.sprintf
+         "FATAL: metered solves allocated %.4fx the minor words of plain ones \
+          (limit 1.02x)"
+         words_ratio);
+    exit 1
+  end;
+  if warm_locks > 0 then begin
+    prerr_endline
+      (Printf.sprintf
+         "FATAL: metered solves on a warm registry took its lock %d times \
+          (limit 0)"
+         warm_locks);
+    exit 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
@@ -923,6 +1038,7 @@ let () =
   portfolio_speedup ();
   fleet_speedup ();
   serve_roundtrips ();
+  instrument_overhead ();
   timed "microbenchmarks" bechamel_suite;
   let total = Obs.Metrics.now_s () -. t0 in
   Format.fprintf fmt "@.total harness time: %.1fs@." total;

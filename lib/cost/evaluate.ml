@@ -21,12 +21,14 @@ let of_penalty prov penalty =
   in
   { provision = prov; summary; penalty }
 
+let evaluations_c = Ds_obs.Obs.Metrics.counter_handle "cost.evaluations"
+
 let provisioned ?params ?obs ?scenarios ?batch prov likelihood =
   (match batch with
    | Some b -> Simulate.incr_evaluations b
    | None ->
      (match obs with
-      | Some obs -> Ds_obs.Obs.incr obs "cost.evaluations"
+      | Some obs -> Ds_obs.Obs.bump obs evaluations_c
       | None -> ()));
   of_penalty prov
     (Penalty.expected_annual ?params ?obs ?scenarios ?batch prov likelihood)
@@ -89,16 +91,9 @@ let dirty_test (before : Provision.t) (after : Provision.t) = function
       || List.exists (reads_tape fp) tapes
       || List.exists (reads_link fp) links
 
-let update ?params ?obs ?batch ~footprints base move prov =
-  let details = base.penalty.Penalty.details in
-  if Array.length footprints <> List.length details then
-    invalid_arg "Evaluate.update: one footprint per scenario of the base";
-  let batch =
-    match batch with
-    | Some b -> b
-    | None -> Simulate.batch (Option.value ~default:Ds_obs.Obs.noop obs)
-  in
+let update_in ?params ?obs batch ~footprints base move prov =
   Simulate.incr_evaluations batch;
+  let details = base.penalty.Penalty.details in
   let dirty = dirty_test base.provision prov move in
   let reused = ref 0 in
   let details =
@@ -114,6 +109,15 @@ let update ?params ?obs ?batch ~footprints base move prov =
   in
   Simulate.count_reused batch !reused;
   of_penalty prov (Penalty.of_details prov details)
+
+let update ?params ?obs ?batch ~footprints base move prov =
+  if Array.length footprints <> List.length base.penalty.Penalty.details then
+    invalid_arg "Evaluate.update: one footprint per scenario of the base";
+  match batch with
+  | Some batch -> update_in ?params ?obs batch ~footprints base move prov
+  | None ->
+    Simulate.with_batch (Option.value ~default:Ds_obs.Obs.noop obs) (fun batch ->
+        update_in ?params ?obs batch ~footprints base move prov)
 
 let total t = Summary.total t.summary
 

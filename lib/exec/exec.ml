@@ -77,57 +77,24 @@ let width_for pool ~label ~tasks =
         else min full (max 1 (int_of_float (projected /. cm.threshold_s)))
     end
 
-(* Pool-accounting instruments, pre-resolved once per metrics registry:
-   the solvers run thousands of instrumented maps per second, and
-   re-resolving a dozen fixed names through the registry lock on every
-   map dominated the accounting's own allocation. One-slot cache with a
-   benign race: a concurrent refill re-resolves the same names and the
-   registry hands back the same instruments, so totals are unchanged. *)
-type acct_instruments = {
-  ai_reg : Metrics.registry;
-  maps_c : Metrics.counter;
-  tasks_c : Metrics.counter;
-  workers_max_g : Metrics.gauge;
-  map_wall_h : Metrics.histogram;
-  spawn_h : Metrics.histogram;
-  join_h : Metrics.histogram;
-  worker_busy_h : Metrics.histogram;
-  worker_idle_h : Metrics.histogram;
-  tasks_completed_c : Metrics.counter;
-  busy_imbalance_h : Metrics.histogram;
-  task_imbalance_h : Metrics.histogram;
-  minor_words_g : Metrics.gauge;
-  major_words_g : Metrics.gauge;
-  minor_col_c : Metrics.counter;
-  major_col_c : Metrics.counter;
-}
-
-let acct_slot : acct_instruments option Atomic.t = Atomic.make None
-
-let acct_instruments reg =
-  match Atomic.get acct_slot with
-  | Some ai when ai.ai_reg == reg -> ai
-  | _ ->
-    let ai =
-      { ai_reg = reg;
-        maps_c = Metrics.counter reg "exec.maps";
-        tasks_c = Metrics.counter reg "exec.tasks";
-        workers_max_g = Metrics.gauge reg "exec.workers_max";
-        map_wall_h = Metrics.histogram reg "exec.map_wall_s";
-        spawn_h = Metrics.histogram reg "exec.spawn_s";
-        join_h = Metrics.histogram reg "exec.join_s";
-        worker_busy_h = Metrics.histogram reg "exec.worker_busy_s";
-        worker_idle_h = Metrics.histogram reg "exec.worker_idle_s";
-        tasks_completed_c = Metrics.counter reg "exec.tasks_completed";
-        busy_imbalance_h = Metrics.histogram reg "exec.busy_imbalance_s";
-        task_imbalance_h = Metrics.histogram reg "exec.task_imbalance";
-        minor_words_g = Metrics.gauge reg "exec.minor_words";
-        major_words_g = Metrics.gauge reg "exec.major_words";
-        minor_col_c = Metrics.counter reg "exec.minor_collections";
-        major_col_c = Metrics.counter reg "exec.major_collections" }
-    in
-    Atomic.set acct_slot (Some ai);
-    ai
+(* Pool-accounting instruments, named once: the solvers run thousands of
+   instrumented maps per second, and each map resolves these handles
+   without a lookup. *)
+let maps_c = Metrics.counter_handle "exec.maps"
+let tasks_c = Metrics.counter_handle "exec.tasks"
+let workers_max_g = Metrics.gauge_handle "exec.workers_max"
+let map_wall_h = Metrics.histogram_handle "exec.map_wall_s"
+let spawn_h = Metrics.histogram_handle "exec.spawn_s"
+let join_h = Metrics.histogram_handle "exec.join_s"
+let worker_busy_h = Metrics.histogram_handle "exec.worker_busy_s"
+let worker_idle_h = Metrics.histogram_handle "exec.worker_idle_s"
+let tasks_completed_c = Metrics.counter_handle "exec.tasks_completed"
+let busy_imbalance_h = Metrics.histogram_handle "exec.busy_imbalance_s"
+let task_imbalance_h = Metrics.histogram_handle "exec.task_imbalance"
+let minor_words_g = Metrics.gauge_handle "exec.minor_words"
+let major_words_g = Metrics.gauge_handle "exec.major_words"
+let minor_col_c = Metrics.counter_handle "exec.minor_collections"
+let major_col_c = Metrics.counter_handle "exec.major_collections"
 
 (* Everything the caller-side accounting needs about one finished map.
    Collected into plain per-worker arrays (disjoint slots, like the
@@ -137,44 +104,52 @@ let acct_instruments reg =
 type acct = {
   busy : float array;  (* per worker: wall time of its stride *)
   tasks_run : int array;
-  minor : float array;  (* per worker: Gc.quick_stat deltas *)
-  major : float array;
-  minor_col : int array;
-  major_col : int array;
 }
 
-let emit_acct ai a ~n ~w ~wall ~spawn_s ~join_s =
-  Metrics.incr ai.maps_c;
-  Metrics.add ai.tasks_c n;
-  Metrics.gauge_max ai.workers_max_g (float_of_int w);
-  Metrics.observe ai.map_wall_h wall;
-  (match spawn_s with Some s -> Metrics.observe ai.spawn_h s | None -> ());
-  (match join_s with Some s -> Metrics.observe ai.join_h s | None -> ());
+(* Whether this domain is running a stride of a metered map. A map
+   started there is nested: its allocation lies inside the outer map's
+   region, so only an outermost map adds a Gc delta. Every stride of a
+   metered map sets the flag on the domain that runs it, so a map nested
+   in a task that a worker domain runs sees it too. *)
+let in_metered_stride = Domain.DLS.new_key (fun () -> ref false)
+
+let emit_acct reg a ~n ~w ~wall ~spawn_s ~join_s ~gc =
+  let r h = Metrics.resolve reg h in
+  Metrics.incr (r maps_c);
+  Metrics.add (r tasks_c) n;
+  Metrics.gauge_max (r workers_max_g) (float_of_int w);
+  Metrics.observe (r map_wall_h) wall;
+  (* Every instrument is resolved on every map, so each exists from the
+     first map on, though only a wide map spawns and only an outermost
+     one takes Gc counts. *)
+  let spawn = r spawn_h and join = r join_h in
+  (match spawn_s with Some s -> Metrics.observe spawn s | None -> ());
+  (match join_s with Some s -> Metrics.observe join s | None -> ());
+  let busy_h = r worker_busy_h and idle_h = r worker_idle_h in
   let busy_lo = ref Float.infinity and busy_hi = ref 0. in
   let run_lo = ref max_int and run_hi = ref 0 in
   let completed = ref 0 in
-  let minor = ref 0. and major = ref 0. in
-  let minor_col = ref 0 and major_col = ref 0 in
   for k = 0 to w - 1 do
-    Metrics.observe ai.worker_busy_h a.busy.(k);
-    Metrics.observe ai.worker_idle_h (Float.max 0. (wall -. a.busy.(k)));
+    Metrics.observe busy_h a.busy.(k);
+    Metrics.observe idle_h (Float.max 0. (wall -. a.busy.(k)));
     busy_lo := Float.min !busy_lo a.busy.(k);
     busy_hi := Float.max !busy_hi a.busy.(k);
     run_lo := min !run_lo a.tasks_run.(k);
     run_hi := max !run_hi a.tasks_run.(k);
-    completed := !completed + a.tasks_run.(k);
-    minor := !minor +. a.minor.(k);
-    major := !major +. a.major.(k);
-    minor_col := !minor_col + a.minor_col.(k);
-    major_col := !major_col + a.major_col.(k)
+    completed := !completed + a.tasks_run.(k)
   done;
-  Metrics.add ai.tasks_completed_c !completed;
-  Metrics.observe ai.busy_imbalance_h (!busy_hi -. !busy_lo);
-  Metrics.observe ai.task_imbalance_h (float_of_int (!run_hi - !run_lo));
-  Metrics.gauge_add ai.minor_words_g !minor;
-  Metrics.gauge_add ai.major_words_g !major;
-  Metrics.add ai.minor_col_c !minor_col;
-  Metrics.add ai.major_col_c !major_col
+  Metrics.add (r tasks_completed_c) !completed;
+  Metrics.observe (r busy_imbalance_h) (!busy_hi -. !busy_lo);
+  Metrics.observe (r task_imbalance_h) (float_of_int (!run_hi - !run_lo));
+  let minor = r minor_words_g and major = r major_words_g in
+  let minor_col = r minor_col_c and major_col = r major_col_c in
+  match gc with
+  | None -> ()
+  | Some ((g0 : Gc.stat), (g1 : Gc.stat)) ->
+    Metrics.gauge_add minor (g1.minor_words -. g0.minor_words);
+    Metrics.gauge_add major (g1.major_words -. g0.major_words);
+    Metrics.add minor_col (g1.minor_collections - g0.minor_collections);
+    Metrics.add major_col (g1.major_collections - g0.major_collections)
 
 (* A task's slot in the result array. Slot [i] belongs to task [i]
    alone: the strided schedule assigns disjoint index sets to the
@@ -183,23 +158,22 @@ type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
 (* The one schedule. Worker [k] runs tasks [k], [k + w], ... on its own
    domain (the coordinator takes stride 0), under its own trace lane,
-   timing its stride and its Gc delta into slot [k] of [a]. Everything
-   the caller sees (results, the re-raised failure, accounting, the
-   learned cost) is read back in index order after every domain joins,
-   so the width [w] is pure scheduling. *)
+   timing its stride into slot [k] of [a]. Everything the caller sees
+   (results, the re-raised failure, accounting, the learned cost) is
+   read back in index order after every domain joins, so the width [w]
+   is pure scheduling. An outermost metered map also takes the Gc's
+   counts around the whole region, spawned domains included. *)
 let run_strided pool ~label ~obs ~traced ~w f tasks =
   let n = Array.length tasks in
   let slots = Array.make n Pending in
-  let a =
-    { busy = Array.make w 0.;
-      tasks_run = Array.make w 0;
-      minor = Array.make w 0.;
-      major = Array.make w 0.;
-      minor_col = Array.make w 0;
-      major_col = Array.make w 0 }
+  let a = { busy = Array.make w 0.; tasks_run = Array.make w 0 } in
+  let metered = Obs.metrics_on obs in
+  let gc0 =
+    if metered && not !(Domain.DLS.get in_metered_stride) then
+      Some (Gc.quick_stat ())
+    else None
   in
   let stride wobs k =
-    let gc0 = Gc.quick_stat () in
     let t0 = now_s () in
     let run () =
       let i = ref k in
@@ -217,16 +191,21 @@ let run_strided pool ~label ~obs ~traced ~w f tasks =
         i := idx + w
       done
     in
-    if traced then
-      Obs.with_span wobs ~args:[ ("worker", string_of_int k) ] "worker" run
-    else run ();
+    let inside = Domain.DLS.get in_metered_stride in
+    let outer = !inside in
+    if metered then inside := true;
+    (match
+       if traced then
+         Obs.with_span wobs ~args:[ ("worker", string_of_int k) ] "worker" run
+       else run ()
+     with
+     | () -> inside := outer
+     | exception e ->
+       let backtrace = Printexc.get_raw_backtrace () in
+       inside := outer;
+       Printexc.raise_with_backtrace e backtrace);
     a.busy.(k) <- now_s () -. t0;
-    a.tasks_run.(k) <- (n - k + w - 1) / w;
-    let gc1 = Gc.quick_stat () in
-    a.minor.(k) <- gc1.Gc.minor_words -. gc0.Gc.minor_words;
-    a.major.(k) <- gc1.Gc.major_words -. gc0.Gc.major_words;
-    a.minor_col.(k) <- gc1.Gc.minor_collections - gc0.Gc.minor_collections;
-    a.major_col.(k) <- gc1.Gc.major_collections - gc0.Gc.major_collections
+    a.tasks_run.(k) <- (n - k + w - 1) / w
   in
   let t_region = now_s () in
   let spawn_s, join_s =
@@ -257,8 +236,9 @@ let run_strided pool ~label ~obs ~traced ~w f tasks =
   in
   (match Obs.metrics obs with
    | Some reg ->
-     emit_acct (acct_instruments reg) a ~n ~w ~wall:(now_s () -. t_region)
-       ~spawn_s ~join_s
+     let wall = now_s () -. t_region in
+     let gc = Option.map (fun g0 -> (g0, Gc.quick_stat ())) gc0 in
+     emit_acct reg a ~n ~w ~wall ~spawn_s ~join_s ~gc
    | None -> ());
   (* Busy seconds per task is the one cost signal: idle and spawn/join
      overhead are excluded, so the estimate is width-independent. *)

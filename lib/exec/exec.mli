@@ -100,11 +100,17 @@ val map :
     domain after the join:
 
     - counters [exec.maps], [exec.tasks] (submitted),
-      [exec.tasks_completed] (failed tasks included),
-      [exec.minor_collections], [exec.major_collections];
-    - gauges [exec.workers_max] (running maximum pool width),
-      [exec.minor_words] / [exec.major_words] (accumulated Gc deltas
-      across workers);
+      [exec.tasks_completed] (failed tasks included);
+    - gauge [exec.workers_max] (running maximum pool width);
+    - Gc figures, counted once per outermost metered map: counters
+      [exec.minor_collections] / [exec.major_collections] and gauges
+      [exec.minor_words] / [exec.major_words] add the [Gc.quick_stat]
+      deltas across the whole region of a map that does not run inside
+      a task of another metered map, on any domain. A nested map adds
+      nothing, as its allocation lies inside the outer region; so on
+      one domain the figures cannot exceed what the program allocated
+      meanwhile. [Gc.quick_stat] sums every domain, so work that other
+      domains do during the region is included;
     - histograms [exec.map_wall_s] (whole parallel region),
       [exec.spawn_s] / [exec.join_s] (domain fork/join overhead, only
       when more than one worker ran), [exec.worker_busy_s] /

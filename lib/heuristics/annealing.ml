@@ -11,6 +11,9 @@ module Config_solver = Ds_solver.Config_solver
 module Layout = Ds_solver.Layout
 module Obs = Ds_obs.Obs
 
+let attempts_c = Obs.Metrics.counter_handle "heuristic.annealing.attempts"
+let feasible_c = Obs.Metrics.counter_handle "heuristic.annealing.feasible"
+
 type params = {
   iterations : int;
   initial_temperature : float;
@@ -78,12 +81,12 @@ let run ?(options = Config_solver.search_options) ?(params = default_params)
     let temperature = ref params.initial_temperature in
     let feasible = ref 1 in
     for _ = 1 to params.iterations do
-      Obs.incr obs "heuristic.annealing.attempts";
+      Obs.bump obs attempts_c;
       (match neighbor rng options likelihood !current with
        | None -> ()
        | Some next ->
          incr feasible;
-         Obs.incr obs "heuristic.annealing.feasible";
+         Obs.bump obs feasible_c;
          let delta =
            Money.to_dollars (Candidate.cost next)
            -. Money.to_dollars (Candidate.cost !current)

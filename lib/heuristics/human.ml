@@ -15,6 +15,9 @@ module Sample = Ds_prng.Sample
 module Config_solver = Ds_solver.Config_solver
 module Obs = Ds_obs.Obs
 
+let attempts_c = Obs.Metrics.counter_handle "heuristic.human.attempts"
+let feasible_c = Obs.Metrics.counter_handle "heuristic.human.feasible"
+
 let class_tier = function
   | Category.Gold -> Tier.High
   | Category.Silver -> Tier.Med
@@ -197,14 +200,14 @@ let run ?(options = Config_solver.default_options) ?(attempts = 30)
   let rec loop result remaining =
     if remaining = 0 then result
     else begin
-      Obs.incr obs "heuristic.human.attempts";
+      Obs.bump obs attempts_c;
       let outcome =
         match build_design rng env apps with
         | None -> None
         | Some design ->
           (match Config_solver.solve ~options ~obs design likelihood with
            | Ok candidate ->
-             Obs.incr obs "heuristic.human.feasible";
+             Obs.bump obs feasible_c;
              Some candidate
            | Error _ -> None)
       in

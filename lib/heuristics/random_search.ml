@@ -9,6 +9,9 @@ module Layout = Ds_solver.Layout
 module Config_solver = Ds_solver.Config_solver
 module Obs = Ds_obs.Obs
 
+let attempts_c = Obs.Metrics.counter_handle "heuristic.random.attempts"
+let feasible_c = Obs.Metrics.counter_handle "heuristic.random.feasible"
+
 let sample_design rng env apps =
   let rec place design = function
     | [] -> Some design
@@ -30,14 +33,14 @@ let run ?(options = Config_solver.default_options) ?(attempts = 100)
   let rec loop result remaining =
     if remaining = 0 then result
     else begin
-      Obs.incr obs "heuristic.random.attempts";
+      Obs.bump obs attempts_c;
       let outcome =
         match sample_design rng env apps with
         | None -> None
         | Some design ->
           (match Config_solver.solve ~options ~obs design likelihood with
            | Ok candidate ->
-             Obs.incr obs "heuristic.random.feasible";
+             Obs.bump obs feasible_c;
              Some candidate
            | Error _ -> None)
       in

@@ -11,6 +11,8 @@ module Config_solver = Ds_solver.Config_solver
 module Layout = Ds_solver.Layout
 module Obs = Ds_obs.Obs
 
+let attempts_c = Obs.Metrics.counter_handle "heuristic.tabu.attempts"
+
 type params = {
   iterations : int;
   neighbors : int;
@@ -70,7 +72,7 @@ let run ?(options = Config_solver.search_options) ?(params = default_params)
     let best = ref start in
     let feasible = ref 1 in
     for iteration = 1 to params.iterations do
-      Obs.incr obs "heuristic.tabu.attempts";
+      Obs.bump obs attempts_c;
       let candidates_apps = Design.apps !current.Candidate.design in
       let moves =
         List.init params.neighbors (fun _ ->

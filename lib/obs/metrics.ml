@@ -1,8 +1,15 @@
 (* Domain-safe instruments: the design solver's parallel refit bumps
    counters from worker domains concurrently, so counters and gauges are
-   Atomic-backed, histograms take a per-instrument lock, and instrument
-   creation is serialized by a registry lock. Both mutexes are
-   [Lockstat]-wrapped, so the registry can report its own contention.
+   Atomic-backed and histograms take a per-instrument lock.
+
+   The registry is an immutable name -> instrument map held in an
+   [Atomic]. Looking up an existing instrument reads the current map and
+   takes no lock, so instruments resolved by name on every call cost a
+   map search, never a mutex. Only creation locks: the registry lock
+   serializes insertions, which re-check the map and publish a new one.
+   Both mutexes are [Lockstat]-wrapped, so the registry can report its
+   own contention; the registry lock's acquisitions are its creations,
+   plus any lookup that raced a peer creating the same name.
 
    Renderers never read mutable instrument state directly: they go
    through {!snapshot}, which copies each instrument under its lock —
@@ -46,12 +53,19 @@ let edge b =
   ** (float_of_int min_exponent
       +. (float_of_int (b - 1) /. float_of_int buckets_per_octave))
 
-type histogram = {
-  lock : Lockstat.t;
-  mutable observed : int;
+(* The float statistics live in their own all-float record, which OCaml
+   stores flat: updating them allocates nothing, where float fields of
+   the mixed [histogram] record would box on every write. *)
+type moments = {
   mutable sum : float;
   mutable lo : float;
   mutable hi : float;
+}
+
+type histogram = {
+  lock : Lockstat.t;
+  mutable observed : int;
+  m : moments;
   buckets : int array;
 }
 
@@ -60,16 +74,18 @@ type instrument =
   | Gauge of gauge
   | Histogram of histogram
 
+module Names = Map.Make (String)
+
 type registry = {
-  tbl : (string, instrument) Hashtbl.t;
-  lock : Lockstat.t;
+  tbl : instrument Names.t Atomic.t;  (* replaced, never mutated *)
+  lock : Lockstat.t;  (* serializes insertions only *)
   hist_lock_stats : Lockstat.stats;
       (* One shared cell: per-histogram contention aggregated across
          every histogram in the registry. *)
 }
 
 let create () : registry =
-  { tbl = Hashtbl.create 64;
+  { tbl = Atomic.make Names.empty;
     lock = Lockstat.create ();
     hist_lock_stats = Lockstat.create_stats () }
 
@@ -78,44 +94,78 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let lookup reg name make select =
-  let instr =
-    Lockstat.protect reg.lock (fun () ->
-        match Hashtbl.find_opt reg.tbl name with
-        | Some instr -> instr
-        | None ->
-          let instr = make () in
-          Hashtbl.add reg.tbl name instr;
-          instr)
-  in
-  match select instr with
-  | Some x -> x
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Obs.Metrics: %S is already a %s" name
-         (kind_name instr))
+type kind = K_counter | K_gauge | K_histogram
+
+let make reg = function
+  | K_counter -> Counter (Atomic.make 0)
+  | K_gauge -> Gauge (Atomic.make 0.)
+  | K_histogram ->
+    Histogram
+      { lock = Lockstat.create ~stats:reg.hist_lock_stats ();
+        observed = 0;
+        m = { sum = 0.; lo = 0.; hi = 0. };
+        buckets = Array.make bucket_count 0 }
+
+(* Creation: re-check under the lock (a peer may have inserted [name]
+   since the lock-free miss), then publish a new map. Readers holding
+   the old map simply miss and come here. *)
+let insert reg name kind =
+  Lockstat.protect reg.lock (fun () ->
+      let tbl = Atomic.get reg.tbl in
+      match Names.find name tbl with
+      | instr -> instr
+      | exception Not_found ->
+        let instr = make reg kind in
+        Atomic.set reg.tbl (Names.add name instr tbl);
+        instr)
+
+let lookup reg name kind =
+  match Names.find name (Atomic.get reg.tbl) with
+  | instr -> instr
+  | exception Not_found -> insert reg name kind
+
+let mismatch name instr =
+  invalid_arg
+    (Printf.sprintf "Obs.Metrics: %S is already a %s" name (kind_name instr))
 
 let counter reg name =
-  lookup reg name
-    (fun () -> Counter (Atomic.make 0))
-    (function Counter c -> Some c | _ -> None)
+  match lookup reg name K_counter with
+  | Counter c -> c
+  | instr -> mismatch name instr
 
 let gauge reg name =
-  lookup reg name
-    (fun () -> Gauge (Atomic.make 0.))
-    (function Gauge g -> Some g | _ -> None)
+  match lookup reg name K_gauge with
+  | Gauge g -> g
+  | instr -> mismatch name instr
 
 let histogram reg name =
-  lookup reg name
-    (fun () ->
-       Histogram
-         { lock = Lockstat.create ~stats:reg.hist_lock_stats ();
-           observed = 0;
-           sum = 0.;
-           lo = 0.;
-           hi = 0.;
-           buckets = Array.make bucket_count 0 })
-    (function Histogram h -> Some h | _ -> None)
+  match lookup reg name K_histogram with
+  | Histogram h -> h
+  | instr -> mismatch name instr
+
+(* A handle remembers the last registry it resolved in, so a call site
+   that names its instrument once, where the code is loaded, neither
+   builds nor looks up that name again while the registry stays the
+   same. Resolving in another registry replaces the memory; a racing
+   replacement only costs a peer one more lookup of the same name. *)
+type 'a handle = {
+  h_name : string;
+  h_find : registry -> string -> 'a;
+  last : (registry * 'a) option Atomic.t;
+}
+
+let handle h_find h_name = { h_name; h_find; last = Atomic.make None }
+let counter_handle = handle counter
+let gauge_handle = handle gauge
+let histogram_handle = handle histogram
+
+let resolve reg h =
+  match Atomic.get h.last with
+  | Some (r, instr) when r == reg -> instr
+  | _ ->
+    let instr = h.h_find reg h.h_name in
+    Atomic.set h.last (Some (reg, instr));
+    instr
 
 let incr c = Atomic.incr c
 let add c k = ignore (Atomic.fetch_and_add c k)
@@ -133,20 +183,37 @@ let rec gauge_max g v =
 
 let value g = Atomic.get g
 
+let valid_sample s = not (Float.is_nan s || s < 0.)
+
+(* Caller holds [h.lock]. *)
+let add_sample (h : histogram) s b =
+  let m = h.m in
+  if h.observed = 0 then begin m.lo <- s; m.hi <- s end
+  else begin m.lo <- Float.min m.lo s; m.hi <- Float.max m.hi s end;
+  h.observed <- h.observed + 1;
+  m.sum <- m.sum +. s;
+  h.buckets.(b) <- h.buckets.(b) + 1
+
+(* The bucket is found before the lock is taken, and the body cannot
+   raise, so the lock is held without a [protect] closure. *)
 let observe (h : histogram) s =
-  if not (Float.is_nan s || s < 0.) then
-    Lockstat.protect h.lock (fun () ->
-        if h.observed = 0 then begin h.lo <- s; h.hi <- s end
-        else begin h.lo <- Float.min h.lo s; h.hi <- Float.max h.hi s end;
-        h.observed <- h.observed + 1;
-        h.sum <- h.sum +. s;
-        h.buckets.(bucket_of s) <- h.buckets.(bucket_of s) + 1)
+  if valid_sample s then begin
+    let b = bucket_of s in
+    Lockstat.lock h.lock;
+    add_sample h s b;
+    Lockstat.unlock h.lock
+  end
+
+let observe_list (h : histogram) samples =
+  Lockstat.lock h.lock;
+  List.iter (fun s -> if valid_sample s then add_sample h s (bucket_of s)) samples;
+  Lockstat.unlock h.lock
 
 let observations h = h.observed
-let total h = h.sum
-let mean h = if h.observed = 0 then 0. else h.sum /. float_of_int h.observed
-let hist_min h = h.lo
-let hist_max h = h.hi
+let total h = h.m.sum
+let mean h = if h.observed = 0 then 0. else h.m.sum /. float_of_int h.observed
+let hist_min h = h.m.lo
+let hist_max h = h.m.hi
 
 (* Percentile from the bucket counts of a consistent histogram state
    (caller holds the lock or owns a snapshot): find the bucket holding
@@ -183,7 +250,7 @@ let percentile (h : histogram) q =
   if Float.is_nan q || q < 0. || q > 1. then
     invalid_arg "Obs.Metrics.percentile: q outside [0, 1]";
   Lockstat.protect h.lock (fun () ->
-      percentile_of ~observed:h.observed ~lo:h.lo ~hi:h.hi h.buckets q)
+      percentile_of ~observed:h.observed ~lo:h.m.lo ~hi:h.m.hi h.buckets q)
 
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
@@ -214,26 +281,23 @@ type value =
 
 let snapshot_histogram (h : histogram) =
   Lockstat.protect h.lock (fun () ->
-      let pct = percentile_of ~observed:h.observed ~lo:h.lo ~hi:h.hi h.buckets in
+      let m = h.m in
+      let pct = percentile_of ~observed:h.observed ~lo:m.lo ~hi:m.hi h.buckets in
       { snap_count = h.observed;
-        snap_total = h.sum;
+        snap_total = m.sum;
         snap_mean =
-          (if h.observed = 0 then 0. else h.sum /. float_of_int h.observed);
-        snap_min = h.lo;
-        snap_max = h.hi;
+          (if h.observed = 0 then 0. else m.sum /. float_of_int h.observed);
+        snap_min = m.lo;
+        snap_max = m.hi;
         snap_p50 = pct 0.5;
         snap_p90 = pct 0.9;
         snap_p99 = pct 0.99 })
 
 let snapshot reg =
-  (* Bindings are copied under the registry lock (names and instrument
-     identities never change once created, so reading each instrument's
-     state after releasing it is safe — instrument locks take over). *)
-  let bindings =
-    Lockstat.protect reg.lock (fun () ->
-        Hashtbl.fold (fun name instr acc -> (name, instr) :: acc) reg.tbl [])
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  (* One read of the current map: its bindings are already sorted by
+     name, and names and instrument identities never change once
+     created, so each instrument's state is then read under its own
+     lock (or atomically). *)
   List.map
     (fun (name, instr) ->
        let v =
@@ -243,9 +307,9 @@ let snapshot reg =
          | Histogram h -> Histogram_value (snapshot_histogram h)
        in
        (name, v))
-    bindings
+    (Names.bindings (Atomic.get reg.tbl))
 
-let names reg = List.map fst (snapshot reg)
+let names reg = List.map fst (Names.bindings (Atomic.get reg.tbl))
 
 let lock_stats reg =
   [ ("metrics.registry", Lockstat.stats reg.lock);

@@ -2,15 +2,21 @@
 
     A registry is a flat name -> instrument table. Instruments are
     created on first lookup and shared afterwards, so independent call
-    sites that agree on a name accumulate into the same cell. Lookups by
-    name hash once; hot paths should hold on to the returned instrument.
+    sites that agree on a name accumulate into the same cell. Looking up
+    an existing instrument takes no lock: it searches an immutable
+    snapshot of the table. The registry lock is taken only to create an
+    instrument, so [metrics.registry] acquisitions count creations. A
+    lookup still costs a map search by name, so paths that run per
+    scenario, job, grant or evaluation hold on to the returned
+    instrument or resolve a {!handle}.
 
     Time comes from the OS monotonic clock (CLOCK_MONOTONIC), never from
     the wall clock, so histograms survive NTP steps.
 
     Every instrument is domain-safe: counters and gauges are
     Atomic-backed, histogram updates take a per-instrument lock and
-    instrument creation is serialized, so hooks may fire concurrently
+    instrument creation is serialized (concurrent creators of one name
+    all get the one instrument that was published), so hooks may fire concurrently
     from worker domains (the design solver's parallel refit does) without
     losing updates. Renderers ({!pp}, {!to_json}) read through
     {!snapshot}, which copies each instrument under its lock — dumping a
@@ -40,6 +46,25 @@ val counter : registry -> string -> counter
 val gauge : registry -> string -> gauge
 val histogram : registry -> string -> histogram
 
+(** {1 Handles} *)
+
+type 'a handle
+(** An instrument named once, where the code is loaded. A hot path that
+    would otherwise name its instrument on every call resolves a handle
+    instead: the name is looked up only the first time in a registry. *)
+
+val counter_handle : string -> counter handle
+val gauge_handle : string -> gauge handle
+val histogram_handle : string -> histogram handle
+
+val resolve : registry -> 'a handle -> 'a
+(** The handle's instrument in [registry]. The handle remembers the last
+    registry it was resolved in, so resolving again there is one atomic
+    read, with no lookup and no lock; another registry is looked up by
+    name and then remembered instead. *)
+
+(** {1 Recording} *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 val count : counter -> int
@@ -54,7 +79,12 @@ val gauge_max : gauge -> float -> unit
 val value : gauge -> float
 
 val observe : histogram -> float -> unit
-(** Record one duration, in seconds. Negative or NaN samples are dropped. *)
+(** Record one duration, in seconds. Negative or NaN samples are dropped.
+    One uncontended lock acquisition and no allocation. *)
+
+val observe_list : histogram -> float list -> unit
+(** {!observe} each sample, in list order, under one lock acquisition —
+    for a caller that gathers a batch of samples before publishing. *)
 
 val observations : histogram -> int
 val total : histogram -> float
@@ -107,7 +137,8 @@ val names : registry -> string list
 
 val lock_stats : registry -> (string * Lockstat.stats) list
 (** Contention of the registry's own mutexes:
-    [("metrics.registry", _)] (instrument creation) and
+    [("metrics.registry", _)] (instrument creation only; lookups of
+    existing instruments do not lock) and
     [("metrics.histograms", _)] (all histogram updates, aggregated). *)
 
 val pp : Format.formatter -> registry -> unit

@@ -51,6 +51,16 @@ let add t name k =
   | None -> ()
   | Some reg -> Metrics.add (Metrics.counter reg name) k
 
+let instrument t h =
+  match t.metrics with
+  | None -> None
+  | Some reg -> Some (Metrics.resolve reg h)
+
+let bump t h =
+  match t.metrics with
+  | None -> ()
+  | Some reg -> Metrics.incr (Metrics.resolve reg h)
+
 let gauge_add t name dv =
   match t.metrics with
   | None -> ()

@@ -60,6 +60,18 @@ val merge_lane : t -> Trace.collector option -> unit
 
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
+(** By name: each call looks its counter up (without a lock once the
+    counter exists). Paths that run per scenario, job, grant or
+    evaluation use {!bump} instead. *)
+
+val bump : t -> Metrics.counter Metrics.handle -> unit
+(** {!incr} through a handle: no name is built or looked up. *)
+
+val instrument : t -> 'a Metrics.handle -> 'a option
+(** The handle's instrument in [t]'s registry, for callers that
+    pre-resolve a set of instruments once per batch; [None] without a
+    metrics sink. *)
+
 val gauge_add : t -> string -> float -> unit
 val gauge_set : t -> string -> float -> unit
 val observe : t -> string -> float -> unit

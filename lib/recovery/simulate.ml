@@ -19,24 +19,72 @@ let tape_propagation prov (asg : Assignment.t) =
   | Some tape_slot ->
     Rate.transfer_time asg.app.App.data_size (Provision.tape_bw prov tape_slot)
 
-(* Device and job names only feed the engine's per-resource metrics
-   ([sim.busy_s.<name>], [sim.wait_s.<name>]) and diagnostic output; on
-   the unmetered hot path (every candidate evaluation of the solvers)
-   rendering them through [Format.asprintf] dominated the per-scenario
-   allocation, so they are built only when a metrics sink is attached.
+(* A device a recovery can hold, as the key of the gauge cache below. *)
+type device =
+  | Array_dev of Slot.Array_slot.t
+  | Tape_dev of Slot.Tape_slot.t
+  | Link_dev of Slot.Pair.t
 
-   A [batch] carries every instrument resolvable once per simulation
+module Device_map = Map.Make (struct
+    type t = device
+
+    let rank = function Array_dev _ -> 0 | Tape_dev _ -> 1 | Link_dev _ -> 2
+
+    let compare a b =
+      match a, b with
+      | Array_dev a, Array_dev b -> Slot.Array_slot.compare a b
+      | Tape_dev a, Tape_dev b -> Slot.Tape_slot.compare a b
+      | Link_dev a, Link_dev b -> Slot.Pair.compare a b
+      | _ -> Int.compare (rank a) (rank b)
+  end)
+
+let device_name = function
+  | Array_dev s -> Slot.Array_slot.to_string s
+  | Tape_dev s -> Slot.Tape_slot.to_string s
+  | Link_dev p -> Slot.Pair.to_string p
+
+(* Device names only feed the engine's per-resource metrics
+   ([sim.busy_s.<name>], [sim.wait_s.<name>]), so they are built only
+   when a metrics sink is attached, and then once per registry and
+   device: the gauges outlive every batch in this one-slot cache, keyed
+   by registry identity. It is a map, not a list, because a daemon's
+   registry sees the devices of every environment it serves. A racing
+   insert can at worst drop a peer's entry, which is resolved again
+   later to the same instruments. Jobs are never named: nothing reads a
+   recovery job's name, and rendering one per job was most of the
+   metered path's extra allocation. *)
+let gauge_cache :
+  (Metrics.registry * Engine.device_gauges Device_map.t) option Atomic.t =
+  Atomic.make None
+
+let cached_gauges obs reg device =
+  let cache = Atomic.get gauge_cache in
+  let known =
+    match cache with
+    | Some (r, known) when r == reg -> known
+    | _ -> Device_map.empty
+  in
+  match Device_map.find device known with
+  | gauges -> gauges
+  | exception Not_found ->
+    let gauges = Engine.device_gauges obs (device_name device) in
+    ignore
+      (Atomic.compare_and_set gauge_cache cache
+         (Some (reg, Device_map.add device gauges known)));
+    gauges
+
+(* A [batch] carries every instrument resolvable once per simulation
    batch: the engine meters, the recovery counters, and — keyed by slot —
-   the device names and gauges. The configuration solver shares one batch
+   the device gauges, with the cells that hold what the batch's engines
+   measure until [publish]. The configuration solver shares one batch
    across every trial evaluation of a solve (the slots are stable there),
-   so the registry is probed a handful of times per thousands of
-   scenarios. The id caches are atomics: when parallel trial workers
+   so the gauge cache is probed a handful of times per thousands of
+   scenarios. The slot lists are atomics: when parallel trial workers
    share a batch, a racing insert can at worst drop a peer's entry and
-   re-resolve later — the registry hands back the same instruments for
-   the same names, so metric totals and simulation results are unchanged. *)
+   resolve the device again. A dropped entry is still published: every
+   entry ever handed out is also kept in [made], which [publish] walks. *)
 type batch = {
   b_obs : Obs.t;  (* instrument resolution only; spans use the call-site obs *)
-  named : bool;
   meters : Engine.meters;
   scenarios_c : Metrics.counter option;
   affected_c : Metrics.counter option;
@@ -45,72 +93,67 @@ type batch = {
   (* Owned by the cost layer (Evaluate), carried here so the per-trial
      evaluation counter rides the same pre-resolved instrument cache. *)
   evaluations_c : Metrics.counter option;
-  array_ids :
-    (Slot.Array_slot.t * (string * Engine.device_gauges)) list Atomic.t;
-  tape_ids : (Slot.Tape_slot.t * (string * Engine.device_gauges)) list Atomic.t;
-  link_ids : (Slot.Pair.t * (string * Engine.device_gauges)) list Atomic.t;
+  array_ids : (Slot.Array_slot.t * Engine.device_gauges) list Atomic.t;
+  tape_ids : (Slot.Tape_slot.t * Engine.device_gauges) list Atomic.t;
+  link_ids : (Slot.Pair.t * Engine.device_gauges) list Atomic.t;
+  made : Engine.device_gauges list Atomic.t;
 }
 
+let scenarios_h = Metrics.counter_handle "recovery.scenarios"
+let affected_h = Metrics.counter_handle "recovery.affected"
+let unrecoverable_h = Metrics.counter_handle "recovery.unrecoverable"
+let reused_h = Metrics.counter_handle "recovery.reused"
+let evaluations_h = Metrics.counter_handle "cost.evaluations"
+
 let batch obs =
-  let counter name =
-    match Obs.metrics obs with
-    | Some reg -> Some (Metrics.counter reg name)
-    | None -> None
-  in
   { b_obs = obs;
-    named = Obs.metrics_on obs;
     meters = Engine.meters_of_obs obs;
-    scenarios_c = counter "recovery.scenarios";
-    affected_c = counter "recovery.affected";
-    unrecoverable_c = counter "recovery.unrecoverable";
-    reused_c = counter "recovery.reused";
-    evaluations_c = counter "cost.evaluations";
+    scenarios_c = Obs.instrument obs scenarios_h;
+    affected_c = Obs.instrument obs affected_h;
+    unrecoverable_c = Obs.instrument obs unrecoverable_h;
+    reused_c = Obs.instrument obs reused_h;
+    evaluations_c = Obs.instrument obs evaluations_h;
     array_ids = Atomic.make [];
     tape_ids = Atomic.make [];
-    link_ids = Atomic.make [] }
+    link_ids = Atomic.make [];
+    made = Atomic.make [] }
 
-let array_id b slot =
-  let ids = Atomic.get b.array_ids in
-  match List.find_opt (fun (s, _) -> Slot.Array_slot.equal s slot) ids with
-  | Some (_, e) -> e
-  | None ->
-    let name = if b.named then Slot.Array_slot.to_string slot else "" in
-    let gauges =
-      if b.named then Engine.device_gauges b.b_obs name else Engine.no_gauges
-    in
-    let e = (name, gauges) in
-    Atomic.set b.array_ids ((slot, e) :: ids);
-    e
+let publish b =
+  Engine.publish_meters b.meters;
+  List.iter Engine.publish_gauges (Atomic.get b.made)
 
-let tape_id b slot =
-  let ids = Atomic.get b.tape_ids in
-  match List.find_opt (fun (s, _) -> Slot.Tape_slot.equal s slot) ids with
-  | Some (_, e) -> e
-  | None ->
-    let name = if b.named then Slot.Tape_slot.to_string slot else "" in
-    let gauges =
-      if b.named then Engine.device_gauges b.b_obs name else Engine.no_gauges
-    in
-    let e = (name, gauges) in
-    Atomic.set b.tape_ids ((slot, e) :: ids);
-    e
+let rec remember b gauges =
+  let made = Atomic.get b.made in
+  if not (Atomic.compare_and_set b.made made (gauges :: made)) then
+    remember b gauges
 
-let link_id b pair =
-  let ids = Atomic.get b.link_ids in
-  match List.find_opt (fun (p, _) -> Slot.Pair.equal p pair) ids with
-  | Some (_, e) -> e
-  | None ->
-    let name = if b.named then Slot.Pair.to_string pair else "" in
+let rec assoc_gauges equal key = function
+  | [] -> raise_notrace Not_found
+  | (k, gauges) :: rest -> if equal k key then gauges else assoc_gauges equal key rest
+
+(* The batch's gauges for a device: looked up among the devices it has
+   resolved, else taken from the cache with cells of the batch's own. *)
+let batch_gauges b ids equal key device =
+  let known = Atomic.get ids in
+  match assoc_gauges equal key known with
+  | gauges -> gauges
+  | exception Not_found ->
     let gauges =
-      if b.named then Engine.device_gauges b.b_obs name else Engine.no_gauges
+      match Obs.metrics b.b_obs with
+      | None -> Engine.no_gauges
+      | Some reg ->
+        let gauges =
+          Engine.held_gauges (cached_gauges b.b_obs reg (device key))
+        in
+        remember b gauges;
+        gauges
     in
-    let e = (name, gauges) in
-    Atomic.set b.link_ids ((pair, e) :: ids);
-    e
+    Atomic.set ids ((key, gauges) :: known);
+    gauges
 
 (* Exclusive-device handles, one per physical device touched by recovery.
-   Resources are per-engine (hence per-scenario); their names and gauges
-   come from the batch cache. *)
+   Resources are per-engine (hence per-scenario); their gauges come from
+   the batch. *)
 type devices = {
   engine : Engine.t;
   mutable arrays : (Slot.Array_slot.t * Engine.resource) list;
@@ -122,8 +165,10 @@ let array_device b d slot =
   match List.find_opt (fun (s, _) -> Slot.Array_slot.equal s slot) d.arrays with
   | Some (_, r) -> r
   | None ->
-    let name, gauges = array_id b slot in
-    let r = Engine.resource_with d.engine ~gauges name in
+    let gauges =
+      batch_gauges b b.array_ids Slot.Array_slot.equal slot (fun s -> Array_dev s)
+    in
+    let r = Engine.resource_with d.engine ~gauges "" in
     d.arrays <- (slot, r) :: d.arrays;
     r
 
@@ -131,8 +176,10 @@ let tape_device b d slot =
   match List.find_opt (fun (s, _) -> Slot.Tape_slot.equal s slot) d.tapes with
   | Some (_, r) -> r
   | None ->
-    let name, gauges = tape_id b slot in
-    let r = Engine.resource_with d.engine ~gauges name in
+    let gauges =
+      batch_gauges b b.tape_ids Slot.Tape_slot.equal slot (fun s -> Tape_dev s)
+    in
+    let r = Engine.resource_with d.engine ~gauges "" in
     d.tapes <- (slot, r) :: d.tapes;
     r
 
@@ -140,8 +187,10 @@ let link_device b d pair =
   match List.find_opt (fun (p, _) -> Slot.Pair.equal p pair) d.links with
   | Some (_, r) -> r
   | None ->
-    let name, gauges = link_id b pair in
-    let r = Engine.resource_with d.engine ~gauges name in
+    let gauges =
+      batch_gauges b b.link_ids Slot.Pair.equal pair (fun p -> Link_dev p)
+    in
+    let r = Engine.resource_with d.engine ~gauges "" in
     d.links <- (pair, r) :: d.links;
     r
 
@@ -344,10 +393,7 @@ let scenario_in ~params ~obs b prov (scen : Scenario.t) =
            let priority =
              Ds_units.Money.to_dollars (App.penalty_rate_sum asg.Assignment.app)
            in
-           let name =
-             if b.named then App.to_string asg.Assignment.app else ""
-           in
-           let id = Engine.submit devices.engine ~name ~priority stages in
+           let id = Engine.submit devices.engine ~priority stages in
            (asg, mode, loss, id))
         affected
     in
@@ -364,18 +410,26 @@ let scenario_in ~params ~obs b prov (scen : Scenario.t) =
       jobs
   end
 
+let with_batch ?batch:b obs f =
+  match b with
+  | Some b -> f b
+  | None ->
+    let b = batch obs in
+    Fun.protect ~finally:(fun () -> publish b) (fun () -> f b)
+
 let scenario ?(params = Recovery_params.default) ?(obs = Obs.noop) ?batch:b
     prov scen =
-  let b = match b with Some b -> b | None -> batch obs in
-  scenario_in ~params ~obs b prov scen
+  match b with
+  | Some b -> scenario_in ~params ~obs b prov scen
+  | None -> with_batch obs (fun b -> scenario_in ~params ~obs b prov scen)
 
 let all ?(params = Recovery_params.default) ?(obs = Obs.noop) ?scenarios ?batch:b
     prov likelihood =
   let design = prov.Provision.design in
-  let b = match b with Some b -> b | None -> batch obs in
   let scens =
     match scenarios with
     | Some scens -> scens
     | None -> Scenario.enumerate likelihood design
   in
-  List.map (fun scen -> (scen, scenario_in ~params ~obs b prov scen)) scens
+  with_batch ?batch:b obs (fun b ->
+      List.map (fun scen -> (scen, scenario_in ~params ~obs b prov scen)) scens)

@@ -33,13 +33,20 @@ val tape_propagation : Provision.t -> Ds_design.Assignment.t -> Time.t
 
 type batch
 (** Pre-resolved metric instruments (engine meters, device gauges,
-    recovery counters) shared across the simulations of a batch. *)
+    recovery counters) shared across the simulations of a batch. A batch
+    may serve any call whose [obs] carries the same registry (trace lanes
+    may differ), and parallel workers may share it — see the
+    implementation note. Device time and queue waits that its engines
+    record on the domain that made it are held in the batch, and reach
+    the registry ([sim.busy_s.*], [sim.wait_s.*], [sim.queue_wait_s])
+    when {!with_batch} ends. *)
 
-val batch : Obs.t -> batch
-(** Resolves every instrument against [obs]'s metrics registry. The
-    batch may be reused by any later call whose [obs] carries the same
-    registry (trace lanes may differ); sharing it across parallel
-    workers is safe — see the implementation note. *)
+val with_batch : ?batch:batch -> Obs.t -> (batch -> 'a) -> 'a
+(** [with_batch obs f] runs [f] on a fresh batch of [obs] and publishes
+    what the batch holds when [f] returns or raises; call it on the
+    domain whose work [f] waits for, so parallel workers have joined by
+    then. [with_batch ~batch obs f] is [f batch]: the batch's maker
+    publishes it. *)
 
 val scenario :
   ?params:Recovery_params.t ->

@@ -2,24 +2,60 @@ module Time = Ds_units.Time
 module Obs = Ds_obs.Obs
 module Metrics = Ds_obs.Obs.Metrics
 
-(* Per-device gauges are resolved at most once per resource — or once per
-   simulation batch when the caller shares them via {!resource_with}: the
-   solvers run thousands of single-use engines, and looking instruments
-   up by freshly concatenated name on every grant dominated the metered
-   path's allocation (and the metrics-registry lock traffic). *)
+(* Metered runs touch shared instruments as little as possible. The
+   solvers run thousands of single-use engines, so instruments are
+   resolved once per simulation batch ({!meters} and the device gauges
+   handed to {!resource_with}), and a batch's engines hold what they
+   measure per grant instead of publishing it: busy and wait seconds go
+   to flat float cells and queue waits to a list, with no allocation or
+   lock per grant, until the batch's owner publishes them. Only runs on
+   the domain that resolved the meters hold; a run on any other domain
+   (a wide pool's worker sharing the batch) publishes as it goes, since
+   two domains cannot share unsynchronised cells. So do gauges without
+   cells and the meters of a standalone {!create}. *)
 type device_gauges = {
   busy_g : Metrics.gauge option;
   wait_g : Metrics.gauge option;
+  cells : Float.Array.t;  (* held busy then wait seconds; empty: publish *)
 }
 
-let no_gauges = { busy_g = None; wait_g = None }
+let no_cells = Float.Array.make 0 0.
+
+let no_gauges = { busy_g = None; wait_g = None; cells = no_cells }
 
 let device_gauges obs name =
   match Obs.metrics obs with
   | None -> no_gauges
   | Some reg ->
     { busy_g = Some (Metrics.gauge reg ("sim.busy_s." ^ name));
-      wait_g = Some (Metrics.gauge reg ("sim.wait_s." ^ name)) }
+      wait_g = Some (Metrics.gauge reg ("sim.wait_s." ^ name));
+      cells = no_cells }
+
+let held_gauges dg =
+  if dg.busy_g = None then dg else { dg with cells = Float.Array.make 2 0. }
+
+(* [i] is 0 for busy seconds, 1 for wait seconds. *)
+let publish_one dg i s =
+  match if i = 0 then dg.busy_g else dg.wait_g with
+  | Some g -> Metrics.gauge_add g s
+  | None -> ()
+
+let publish_gauges dg =
+  for i = 0 to Float.Array.length dg.cells - 1 do
+    let s = Float.Array.get dg.cells i in
+    if s <> 0. then begin
+      Float.Array.set dg.cells i 0.;
+      publish_one dg i s
+    end
+  done
+
+(* How a run meters: not at all, holding what it measures for the
+   batch's owner, or publishing it directly. *)
+type mode = Off | Held | Direct
+
+(* Which domain resolved a batch's meters: a token per domain, compared
+   physically — cheaper than asking the runtime for the domain id. *)
+let domain_token = Domain.DLS.new_key (fun () -> ref ())
 
 type resource = {
   owner : int;
@@ -28,25 +64,72 @@ type resource = {
   gauges : device_gauges;
 }
 
-(* Engine-wide instruments, likewise resolvable once per batch. *)
+(* Per-grant accounting: loops, not [List.iter] with a closure. *)
+let rec hold_all i s = function
+  | [] -> ()
+  | r :: rest ->
+    let cells = r.gauges.cells in
+    if Float.Array.length cells > 0 then
+      Float.Array.unsafe_set cells i (Float.Array.unsafe_get cells i +. s)
+    else publish_one r.gauges i s;
+    hold_all i s rest
+
+let rec publish_all i s = function
+  | [] -> ()
+  | r :: rest ->
+    publish_one r.gauges i s;
+    publish_all i s rest
+
+let accrue_all mode i s resources =
+  match mode with
+  | Held -> hold_all i s resources
+  | Direct -> publish_all i s resources
+  | Off -> ()
+
+(* Engine-wide instruments, likewise resolvable once per batch, with the
+   queue waits held for [m_home]'s domain. *)
 type meters = {
   m_runs : Metrics.counter option;
   m_jobs : Metrics.counter option;
   m_events : Metrics.counter option;
   m_queue_wait : Metrics.histogram option;
+  m_home : unit ref;  (* the resolving domain's [domain_token] *)
+  mutable m_waits : float list;  (* newest first *)
 }
 
-let no_meters =
-  { m_runs = None; m_jobs = None; m_events = None; m_queue_wait = None }
+let runs_h = Metrics.counter_handle "sim.runs"
+let jobs_h = Metrics.counter_handle "sim.jobs"
+let events_h = Metrics.counter_handle "sim.events"
+let queue_wait_h = Metrics.histogram_handle "sim.queue_wait_s"
+
+let meters_at home obs =
+  { m_runs = Obs.instrument obs runs_h;
+    m_jobs = Obs.instrument obs jobs_h;
+    m_events = Obs.instrument obs events_h;
+    m_queue_wait = Obs.instrument obs queue_wait_h;
+    m_home = home;
+    m_waits = [] }
+
+let no_meters = meters_at (ref ()) Obs.noop
 
 let meters_of_obs obs =
-  match Obs.metrics obs with
-  | None -> no_meters
-  | Some reg ->
-    { m_runs = Some (Metrics.counter reg "sim.runs");
-      m_jobs = Some (Metrics.counter reg "sim.jobs");
-      m_events = Some (Metrics.counter reg "sim.events");
-      m_queue_wait = Some (Metrics.histogram reg "sim.queue_wait_s") }
+  if Obs.metrics_on obs then meters_at (Domain.DLS.get domain_token) obs
+  else no_meters
+
+let publish_meters m =
+  match m.m_queue_wait, m.m_waits with
+  | Some h, (_ :: _ as waits) ->
+    m.m_waits <- [];
+    Metrics.observe_list h (List.rev waits)
+  | _ -> ()
+
+let queue_wait mode m s =
+  match m.m_queue_wait with
+  | None -> ()
+  | Some h ->
+    (match mode with
+     | Held -> m.m_waits <- s :: m.m_waits
+     | Direct | Off -> Metrics.observe h s)
 
 type stage =
   | Delay of Time.t
@@ -91,14 +174,15 @@ let create_with ?(policy = Priority) ?(obs = Obs.noop) ~meters () =
   let eid = 1 + Atomic.fetch_and_add next_eid 1 in
   { eid; policy; obs; meters; jobs = []; next_jid = 0; ran = false }
 
+(* A home no domain has: a standalone engine publishes as it goes. *)
 let create ?policy ?(obs = Obs.noop) () =
-  create_with ?policy ~obs ~meters:(meters_of_obs obs) ()
+  let meters = if Obs.metrics_on obs then meters_at (ref ()) obs else no_meters in
+  create_with ?policy ~obs ~meters ()
 
 let resource_with t ~gauges name =
   { owner = t.eid; rname = name; busy = false; gauges }
 
-let resource t name =
-  resource_with t ~gauges:(device_gauges t.obs name) name
+let resource t name = resource_with t ~gauges:(device_gauges t.obs name) name
 
 let check_stage t = function
   | Delay d ->
@@ -123,7 +207,7 @@ let distinct resources =
       (fun acc r -> if List.memq r acc then acc else r :: acc)
       [] resources
 
-let submit t ~name ~priority stages =
+let submit t ?(name = "") ~priority stages =
   if t.ran then invalid_arg "Engine.submit: engine already ran";
   if Float.is_nan priority then invalid_arg "Engine.submit: NaN priority";
   List.iter (check_stage t) stages;
@@ -154,7 +238,11 @@ let run t =
     t.ran <- true;
     (* Pre-resolved engine-wide instruments (see [meters] above). *)
     let m = t.meters in
-    let metered = m.m_runs <> None in
+    let mode =
+      match m.m_runs with
+      | None -> Off
+      | Some _ -> if Domain.DLS.get domain_token == m.m_home then Held else Direct
+    in
     (match m.m_runs with Some c -> Metrics.incr c | None -> ());
     (match m.m_jobs with
      | Some c -> Metrics.add c (List.length t.jobs)
@@ -203,28 +291,16 @@ let run t =
                    changed := true
                  | Hold (resources, d) ->
                    if List.for_all (fun r -> not r.busy) resources then begin
-                     if metered then begin
-                       let dur = Time.to_seconds d in
-                       List.iter
-                         (fun r ->
-                            match r.gauges.busy_g with
-                            | Some g -> Metrics.gauge_add g dur
-                            | None -> ())
-                         resources;
-                       if job.state = Blocked
-                       && not (Float.is_nan job.blocked_since) then begin
-                         let waited = !now -. job.blocked_since in
-                         (match m.m_queue_wait with
-                          | Some h -> Metrics.observe h waited
-                          | None -> ());
-                         List.iter
-                           (fun r ->
-                              match r.gauges.wait_g with
-                              | Some g -> Metrics.gauge_add g waited
-                              | None -> ())
-                           resources
-                       end
-                     end;
+                     (match mode with
+                      | Off -> ()
+                      | Held | Direct ->
+                        accrue_all mode 0 (Time.to_seconds d) resources;
+                        if job.state = Blocked
+                        && not (Float.is_nan job.blocked_since) then begin
+                          let waited = !now -. job.blocked_since in
+                          queue_wait mode m waited;
+                          accrue_all mode 1 waited resources
+                        end);
                      List.iter (fun r -> r.busy <- true) resources;
                      job.held <- resources;
                      job.wake <- !now +. Time.to_seconds d;
@@ -259,7 +335,6 @@ let run t =
           (fun job ->
              match job.state with
              | (Sleeping | Holding) when job.wake <= !now ->
-               (match m.m_events with Some c -> Metrics.incr c | None -> ());
                List.iter (fun r -> r.busy <- false) job.held;
                job.held <- [];
                job.idx <- job.idx + 1;
@@ -279,7 +354,12 @@ let run t =
              end)
           order
       end
-    done
+    done;
+    (* Every event advanced one job by one stage, so the events are the
+       stages passed: the counter is touched once per run. *)
+    match m.m_events with
+    | Some c -> Metrics.add c (List.fold_left (fun n job -> n + job.idx) 0 order)
+    | None -> ()
   end
 
 let find_job t jid = List.find (fun job -> job.jid = jid) t.jobs

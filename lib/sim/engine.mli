@@ -37,8 +37,8 @@ val create : ?policy:policy -> ?obs:Obs.t -> unit -> t
 (** Default scheduling policy: {!Priority}. With a metrics-bearing [obs]
     the run records [sim.runs], [sim.jobs], [sim.events] (stage
     completions), a [sim.queue_wait_s] histogram, and per-resource
-    [sim.busy_s.<name>] / [sim.wait_s.<name>] gauges. Observation never
-    changes scheduling. *)
+    [sim.busy_s.<name>] / [sim.wait_s.<name>] gauges, publishing as it
+    goes. Observation never changes scheduling. *)
 
 type meters
 (** Pre-resolved engine-wide instruments ([sim.runs], [sim.jobs],
@@ -46,11 +46,18 @@ type meters
     single-shot engine per failure scenario; resolving the instruments by
     name per engine dominated the metered path, so a caller evaluating
     many scenarios against one [obs] resolves them once and hands them to
-    every {!create_with}. *)
+    every {!create_with}. Queue waits that those engines record on the
+    domain that resolved the meters are held in them, without a lock,
+    until {!publish_meters}; engines on other domains observe directly. *)
 
 val meters_of_obs : Obs.t -> meters
 (** Resolves against [obs]'s metrics registry (a no-op capability when
     metrics are off). *)
+
+val publish_meters : meters -> unit
+(** Observe the held queue waits into [sim.queue_wait_s], in the order
+    they were recorded, under one histogram lock. Call it on the domain
+    that resolved the meters, once the engines using them have run. *)
 
 val create_with : ?policy:policy -> ?obs:Obs.t -> meters:meters -> unit -> t
 (** Like {!create}, but metering through pre-resolved [meters] (which
@@ -62,7 +69,22 @@ type device_gauges
     physical device in different scenarios. *)
 
 val no_gauges : device_gauges
+
 val device_gauges : Obs.t -> string -> device_gauges
+(** Resolves the two gauges by name; engines using them add to them on
+    every grant. *)
+
+val held_gauges : device_gauges -> device_gauges
+(** The same gauges with cells of their own, for the engines of one
+    {!meters}: busy and wait seconds that those engines record on the
+    domain that resolved the meters are held in the cells, without
+    allocating, until {!publish_gauges}; engines on other domains add to
+    the gauges directly. *)
+
+val publish_gauges : device_gauges -> unit
+(** Add the held busy and wait seconds to their gauges and clear the
+    cells. Call it on the domain that resolved the meters, once the
+    engines using the gauges have run. *)
 
 val resource : t -> string -> resource
 (** A named exclusive device. Each call creates a fresh resource,
@@ -77,10 +99,15 @@ type stage =
       (** Exclusive use of all listed devices for the duration. An empty
           list behaves like {!Delay}. *)
 
-val submit : t -> name:string -> priority:float -> stage list -> job_id
+val submit : t -> ?name:string -> priority:float -> stage list -> job_id
 (** Registers a job starting at time zero. Higher [priority] is served
-    first. @raise Invalid_argument if the engine already ran, a duration
-    is not finite, or a resource belongs to another engine. *)
+    first. [name] (default [""]) labels the job in {!results} and
+    nothing else: the recovery simulator leaves its jobs unnamed. A
+    stage may last forever ([Rate.transfer_time] at zero bandwidth gives
+    an infinite hold): its job, and any job waiting behind it, never
+    completes. @raise Invalid_argument if the engine already ran, a
+    duration or the priority is NaN, or a resource belongs to another
+    engine. *)
 
 val run : t -> unit
 (** Executes to quiescence. Idempotent. *)

@@ -13,6 +13,14 @@ module Evaluate = Ds_cost.Evaluate
 module Obs = Ds_obs.Obs
 module Exec = Ds_exec.Exec
 
+(* Counters bumped per trial or per solve, named once here. *)
+let window_trials = Obs.Metrics.counter_handle "config.window_trials"
+let growth_steps = Obs.Metrics.counter_handle "config.growth_steps"
+let solves = Obs.Metrics.counter_handle "config.solves"
+let cache_hits = Obs.Metrics.counter_handle "config.cache_hits"
+let cache_misses = Obs.Metrics.counter_handle "config.cache_misses"
+let cache_evictions = Obs.Metrics.counter_handle "config.cache_evictions"
+
 type window_scope =
   | All_apps
   | Only of App.id list
@@ -175,13 +183,9 @@ let optimize_windows ~options ~obs ~pool ~footprints ~batch design current_eval 
       options.snapshot_menu
     |> Array.of_list
   in
-  (* Resolved once per solve; the per-trial bump must not pay a by-name
-     registry lookup. Workers share the registry with [obs]. *)
-  let trials_c =
-    match Obs.metrics obs with
-    | Some reg -> Some (Obs.Metrics.counter reg "config.window_trials")
-    | None -> None
-  in
+  (* Resolved here, as every solve has always created the counter, even
+     one that runs no trial. Workers share the registry with [obs]. *)
+  let trials_c = Obs.instrument obs window_trials in
   List.fold_left
     (fun (design, eval) (asg : Assignment.t) ->
        let move = Evaluate.Windows asg.app.App.id in
@@ -261,7 +265,7 @@ let grow_resources ~options ~obs ~pool ~footprints ~batch eval =
       in
       match improved with
       | Some better ->
-        Obs.incr obs "config.growth_steps";
+        Obs.bump obs growth_steps;
         loop better (steps + 1)
       | None -> eval
     end
@@ -277,7 +281,7 @@ let solve_fresh ~options ~obs ~pool design likelihood =
   let footprints = Array.of_list (List.map (Simulate.footprint design) scenarios) in
   (* Likewise one instrument batch: worker [obs] values only differ from
      [obs] by their trace lane; the metrics registry is shared. *)
-  let batch = Simulate.batch obs in
+  Simulate.with_batch obs @@ fun batch ->
   match
     Evaluate.design ~params:options.recovery ~obs ~scenarios ~batch design
       likelihood
@@ -293,17 +297,17 @@ let solve_fresh ~options ~obs ~pool design likelihood =
 let solve ?(options = default_options) ?(obs = Obs.noop)
     ?(pool = Exec.sequential) design likelihood =
   Obs.with_span obs "config.solve" @@ fun () ->
-  Obs.incr obs "config.solves";
+  Obs.bump obs solves;
   match options.memo with
   | None -> solve_fresh ~options ~obs ~pool design likelihood
   | Some memo ->
     let key = cache_key ~options design likelihood in
     (match Memo.find memo key with
      | Some result ->
-       Obs.incr obs "config.cache_hits";
+       Obs.bump obs cache_hits;
        result
      | None ->
-       Obs.incr obs "config.cache_misses";
+       Obs.bump obs cache_misses;
        let result = solve_fresh ~options ~obs ~pool design likelihood in
-       if Memo.add memo key result then Obs.incr obs "config.cache_evictions";
+       if Memo.add memo key result then Obs.bump obs cache_evictions;
        result)

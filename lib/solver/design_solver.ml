@@ -99,16 +99,20 @@ let greedy_stage ~pool state params env apps =
 let greedy state params env apps =
   greedy_stage ~pool:(pool_of params) state params env apps
 
+let probes_c = Obs.Metrics.counter_handle "solver.probes"
+let probe_steps_c = Obs.Metrics.counter_handle "solver.probe_steps"
+let probe_improved_c = Obs.Metrics.counter_handle "solver.probe_improved"
+
 (* One depth-first probe from a neighbor (the inner while-loop of
    Algorithm 1): at each level evaluate [breadth] reconfigurations, step
    to the best when it improves, and remember the best node seen. *)
 let probe ?victims state params start =
   let obs = state.Reconfigure.obs in
-  Obs.incr obs "solver.probes";
+  Obs.bump obs probes_c;
   let rec descend current best level =
     if level >= params.depth then best
     else begin
-      Obs.incr obs "solver.probe_steps";
+      Obs.bump obs probe_steps_c;
       let children =
         List.init params.breadth
           (fun _ -> Reconfigure.reconfigure ?victims state current)
@@ -127,7 +131,7 @@ let probe ?victims state params start =
   in
   let final = descend start start 0 in
   if Money.compare (Candidate.cost final) (Candidate.cost start) < 0 then
-    Obs.incr obs "solver.probe_improved";
+    Obs.bump obs probe_improved_c;
   final
 
 (* One refit round: [breadth] probe walks, each on its own pre-split RNG

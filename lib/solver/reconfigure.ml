@@ -10,6 +10,8 @@ module Sample = Ds_prng.Sample
 module Obs = Ds_obs.Obs
 module Exec = Ds_exec.Exec
 
+let evaluations_c = Obs.Metrics.counter_handle "solver.evaluations"
+
 type state = {
   rng : Rng.t;
   history : Layout.History.t;
@@ -38,7 +40,7 @@ let merge ~into probe =
 
 let count_evaluation state =
   state.evaluations <- state.evaluations + 1;
-  Obs.incr state.obs "solver.evaluations"
+  Obs.bump state.obs evaluations_c
 
 let eligible_techniques app =
   Technique_catalog.eligible_for (App.category app)

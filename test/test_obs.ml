@@ -857,6 +857,128 @@ let solver_tests =
           (Metrics.count (Metrics.counter reg "risk.tail.years"))) ]
 
 (* ------------------------------------------------------------------ *)
+(* Instrument overhead: what a metered solve pays for its metrics       *)
+(* ------------------------------------------------------------------ *)
+
+(* The quad, 6-app, quick-budget solve at seed 7, on one domain. *)
+let quad_solve obs =
+  let module R = Experiments.Request in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail (R.error_message e) in
+  let env, apps = ok (R.instance ~apps:6 "quad") in
+  let budget = ok (R.budget ~domains:1 ~seed:7 "quick") in
+  ignore
+    (R.best
+       (ok
+          (R.run_solve ~obs
+             { R.env; apps; likelihood = Likelihood.default; budget;
+               deadline_s = None })))
+
+let registry_acquisitions reg =
+  Obs.Lockstat.acquisitions (List.assoc "metrics.registry" (Metrics.lock_stats reg))
+
+let overhead_tests =
+  [ Alcotest.test_case "a warm registry takes no lock for a metered solve" `Slow
+      (fun () ->
+         (* Lookups of existing instruments read an immutable snapshot;
+            the registry lock only guards creation. Once one solve has
+            created every instrument, the same solve again creates none
+            and so never locks. *)
+         let reg = Metrics.create () in
+         let obs = Obs.attach ~metrics:reg () in
+         quad_solve obs;
+         let created = registry_acquisitions reg in
+         check_bool (Printf.sprintf "first solve created instruments (%d)" created)
+           true (created > 0);
+         quad_solve obs;
+         check_int "registry acquisitions in the warm solve" 0
+           (registry_acquisitions reg - created));
+    Alcotest.test_case "exec Gc accounting counts a nested map once" `Slow
+      (fun () ->
+         (* config.windows and config.growth maps run inside solver.assign
+            and solver.probes tasks. Only the outermost map adds its Gc
+            delta, so the total cannot exceed what the whole solve
+            allocated. *)
+         let obs = Obs.create ~metrics:true () in
+         let g0 = Gc.quick_stat () in
+         quad_solve obs;
+         let g1 = Gc.quick_stat () in
+         let reg = Option.get (Obs.metrics obs) in
+         let solve_words = g1.Gc.minor_words -. g0.Gc.minor_words in
+         let exec_words = Metrics.value (Metrics.gauge reg "exec.minor_words") in
+         check_bool
+           (Printf.sprintf "exec.minor_words %.0f in (0, %.0f]" exec_words
+              solve_words)
+           true
+           (exec_words > 0. && exec_words <= solve_words);
+         check_bool "exec.minor_collections within the solve's" true
+           (Metrics.count (Metrics.counter reg "exec.minor_collections")
+            <= g1.Gc.minor_collections - g0.Gc.minor_collections));
+    Alcotest.test_case "engine meters an unnamed job waiting on a two-device hold"
+      `Quick (fun () ->
+        let obs = Obs.create ~metrics:true () in
+        let engine = Engine.create ~obs () in
+        let dev = Engine.resource engine "dev" in
+        let dev2 = Engine.resource engine "dev2" in
+        let hold rs d = Engine.Hold (rs, Time.hours d) in
+        (* a holds dev 0-1h; b waits 1h, then holds dev 1-2h; the unnamed
+           c needs dev and dev2 together, waits 2h, holds both 2-4h. *)
+        let a = Engine.submit engine ~name:"a" ~priority:3. [ hold [ dev ] 1. ] in
+        let b = Engine.submit engine ~name:"b" ~priority:2. [ hold [ dev ] 1. ] in
+        let c = Engine.submit engine ~priority:1. [ hold [ dev; dev2 ] 2. ] in
+        Engine.run engine;
+        List.iter
+          (fun (label, job, h) ->
+             Alcotest.(check (float 1e-6)) label h
+               (Time.to_hours (Engine.completion_time engine job)))
+          [ ("a at 1h", a, 1.); ("b at 2h", b, 2.); ("c at 4h", c, 4.) ];
+        Alcotest.(check (list string)) "the unnamed job reports an empty name"
+          [ "a"; "b"; "" ] (List.map fst (Engine.results engine));
+        let reg = Option.get (Obs.metrics obs) in
+        let gauge name = Metrics.value (Metrics.gauge reg name) in
+        let seconds h = h *. 3600. in
+        Alcotest.(check (float 1e-6)) "dev busy 1h + 1h + 2h" (seconds 4.)
+          (gauge "sim.busy_s.dev");
+        Alcotest.(check (float 1e-6)) "dev2 busy 2h" (seconds 2.)
+          (gauge "sim.busy_s.dev2");
+        Alcotest.(check (float 1e-6)) "dev waited 1h (b) + 2h (c)" (seconds 3.)
+          (gauge "sim.wait_s.dev");
+        Alcotest.(check (float 1e-6)) "dev2 waited 2h (c)" (seconds 2.)
+          (gauge "sim.wait_s.dev2");
+        let waits = Metrics.histogram reg "sim.queue_wait_s" in
+        check_int "two waiters" 2 (Metrics.observations waits);
+        Alcotest.(check (float 1e-6)) "queue wait total" (seconds 3.)
+          (Metrics.total waits);
+        check_int "jobs" 3 (Metrics.count (Metrics.counter reg "sim.jobs"));
+        check_int "events" 3 (Metrics.count (Metrics.counter reg "sim.events")));
+    Alcotest.test_case "domains racing to create one name share one instrument"
+      `Quick (fun () ->
+        let reg = Metrics.create () in
+        let ready = Atomic.make 0 in
+        let per_domain = 10_000 in
+        let worker () =
+          Atomic.incr ready;
+          while Atomic.get ready < 4 do Domain.cpu_relax () done;
+          let c = Metrics.counter reg "race.fresh" in
+          let h = Metrics.histogram reg "race.fresh_s" in
+          for _ = 1 to per_domain do
+            Metrics.incr c;
+            Metrics.observe h 1e-3
+          done;
+          c
+        in
+        let counters =
+          List.map Domain.join (List.init 4 (fun _ -> Domain.spawn worker))
+        in
+        check_bool "every domain got the same counter" true
+          (List.for_all (fun c -> c == List.hd counters) counters);
+        Alcotest.(check (list string)) "one instrument per name"
+          [ "race.fresh"; "race.fresh_s" ] (Metrics.names reg);
+        check_int "no lost increments" (4 * per_domain)
+          (Metrics.count (Metrics.counter reg "race.fresh"));
+        check_int "no lost observations" (4 * per_domain)
+          (Metrics.observations (Metrics.histogram reg "race.fresh_s"))) ]
+
+(* ------------------------------------------------------------------ *)
 (* Prof: structured profiling reports                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -982,5 +1104,6 @@ let suites =
     ("obs.progress", progress_tests);
     ("obs.hooks", hook_tests);
     ("obs.solver", solver_tests);
+    ("obs.overhead", overhead_tests);
     ("obs.prof", prof_tests);
     ("obs.io", io_tests) ]

@@ -773,7 +773,64 @@ let pin_tests =
           (simulated + count "recovery.reused");
         check_bool
           (Printf.sprintf "at most half simulated (%d)" simulated)
-          true (simulated <= 47_277)) ]
+          true (simulated <= 47_277));
+    Alcotest.test_case "quad, 6 apps, quick, seed 7 keeps its metered counts"
+      `Slow (fun () ->
+        (* Counts recorded before instruments became lock-free on lookup,
+           engine accounting was held per batch and recovery jobs went
+           unnamed: how the metrics are kept may change, what they count
+           may not. Every instrument keeps its name too. *)
+        let module R = Experiments.Request in
+        let ok = function
+          | Ok v -> v
+          | Error e -> Alcotest.fail (R.error_message e)
+        in
+        let env, apps = ok (R.instance ~apps:6 "quad") in
+        let budget = ok (R.budget ~domains:1 ~seed:7 "quick") in
+        let obs = Obs.create ~metrics:true () in
+        ignore
+          (R.best
+             (ok
+                (R.run_solve ~obs
+                   { R.env; apps; likelihood; budget; deadline_s = None })));
+        let reg = Option.get (Obs.metrics obs) in
+        List.iter
+          (fun (name, expected) ->
+             check_int name expected
+               (Obs.Metrics.count (Obs.Metrics.counter reg name)))
+          [ ("config.solves", 743); ("config.cache_hits", 264);
+            ("config.cache_misses", 479); ("config.window_trials", 6_264);
+            ("config.growth_steps", 311); ("cost.evaluations", 9_683);
+            ("exec.maps", 1_015); ("exec.tasks", 9_895);
+            ("recovery.scenarios", 40_109); ("recovery.reused", 54_445);
+            ("recovery.affected", 92_527); ("recovery.unrecoverable", 600);
+            ("sim.runs", 40_109); ("sim.jobs", 92_527);
+            ("sim.events", 216_068); ("solver.evaluations", 743);
+            ("solver.probes", 12); ("solver.probe_steps", 36);
+            ("solver.probe_improved", 12) ];
+        let devices =
+          [ "s1/bay0"; "s1/bay1"; "s1<->s2"; "s1<->s4"; "s2/bay0"; "s2/bay1";
+            "s3/bay0"; "s3<->s4"; "s4/bay0"; "s4/bay1"; "s4/tape" ]
+        in
+        Alcotest.(check (list string)) "instrument names"
+          (List.sort String.compare
+             ([ "config.cache_hits"; "config.cache_misses";
+                "config.growth_steps"; "config.solves"; "config.window_trials";
+                "cost.evaluations"; "exec.busy_imbalance_s"; "exec.join_s";
+                "exec.major_collections"; "exec.major_words"; "exec.map_wall_s";
+                "exec.maps"; "exec.minor_collections"; "exec.minor_words";
+                "exec.spawn_s"; "exec.task_imbalance"; "exec.tasks";
+                "exec.tasks_completed"; "exec.worker_busy_s";
+                "exec.worker_idle_s"; "exec.workers_max";
+                "memo.lock_acquisitions"; "memo.lock_contended";
+                "memo.lock_wait_s"; "memo.lock_wait_total_s";
+                "recovery.affected"; "recovery.reused"; "recovery.scenarios";
+                "recovery.unrecoverable"; "sim.events"; "sim.jobs";
+                "sim.queue_wait_s"; "sim.runs"; "solver.evaluations";
+                "solver.probe_improved"; "solver.probe_steps"; "solver.probes" ]
+              @ List.map (fun d -> "sim.busy_s." ^ d) devices
+              @ List.map (fun d -> "sim.wait_s." ^ d) devices))
+          (Obs.Metrics.names reg)) ]
 
 let suites =
   [ ("solver.layout", layout_tests);
