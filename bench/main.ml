@@ -390,7 +390,7 @@ let year_sim_speedup () =
   let years = 400_000 in
   let run label domains =
     timed label (fun () ->
-        Risk.Year_sim.simulate ~years ~obs ~pool:(Exec.auto_width (Exec.create ~domains ()))
+        Risk.Year_sim.simulate ~years ~obs ~pool:(Exec.create ~domains ())
           (Prng.Rng.of_int 42) prov likelihood)
   in
   let sequential = run "year_sim sequential" 1 in
@@ -425,8 +425,7 @@ let tail_speedup () =
   let years = 200_000 in
   let run label domains =
     timed label (fun () ->
-        Risk.Tail_sim.simulate ~years ~obs
-          ~pool:(Exec.auto_width (Exec.create ~domains ()))
+        Risk.Tail_sim.simulate ~years ~obs ~pool:(Exec.create ~domains ())
           (Prng.Rng.of_int 42) prov likelihood)
   in
   let sequential = run "risk tail sequential" 1 in
@@ -521,7 +520,7 @@ let portfolio_speedup () =
   let restarts = 6 in
   let run label ~race domains =
     timed label (fun () ->
-        Search.run ~restarts ~race ~params ~pool:(Exec.auto_width (Exec.create ~domains ()))
+        Search.run ~restarts ~race ~params ~pool:(Exec.create ~domains ())
           ~obs (E.Envs.peer_sites ()) (E.Envs.peer_apps ())
           Likelihood.default)
   in

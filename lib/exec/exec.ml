@@ -4,82 +4,22 @@ module Metrics = Obs.Metrics
 
 let now_s = Metrics.now_s
 
-(* Stage-aware width policy: per map label, remember the observed
-   per-task cost (an EWMA of busy seconds per task) and size the next
-   map of that label from its projected serial time [tasks x cost].
-   Small stages — a handful of growth moves, a short window menu —
-   clamp to one worker and never pay domain spawn/join; only stages
-   whose projected time can amortize the spawn cost fan out.
-
-   The table is an atomic assoc list updated from whichever domain ran
-   the map; a racing insert can at worst drop a peer's fresh estimate,
-   which the next map of that label simply re-learns. Width is pure
-   scheduling (the strided schedule and index-order merges make every
-   width byte-identical), so the policy cannot steer results. *)
-type cost_model = {
-  threshold_s : float;  (* target serial seconds per worker *)
-  costs : (string * float Atomic.t) list Atomic.t;
-}
-
-type pool = { domains : int; auto : cost_model option }
+type pool = { domains : int }
 
 let create ?(domains = 1) () =
   if domains < 1 then invalid_arg "Exec.create: domains must be >= 1";
-  { domains; auto = None }
+  { domains }
 
-let sequential = { domains = 1; auto = None }
+let sequential = { domains = 1 }
 
-(* Default threshold: a domain spawn/join round trip costs on the order
-   of 100 us; below ~1 ms of projected serial work the fan-out cannot
-   amortize it. *)
-let auto_width ?(threshold_s = 1e-3) pool =
-  if threshold_s <= 0. then invalid_arg "Exec.auto_width: threshold must be > 0";
-  (* A one-domain pool can never widen, so it has nothing to learn. *)
-  if pool.domains = 1 then pool
-  else { pool with auto = Some { threshold_s; costs = Atomic.make [] } }
+let auto_width pool = pool
 
 let domains pool = pool.domains
 
 let workers pool ~tasks = max 1 (min pool.domains tasks)
 
-let observed_cost cm label =
-  match List.assoc_opt label (Atomic.get cm.costs) with
-  | Some slot -> Some (Atomic.get slot)
-  | None -> None
-
-let note_cost cm label per_task_s =
-  if Float.is_finite per_task_s && per_task_s >= 0. then begin
-    let entries = Atomic.get cm.costs in
-    match List.assoc_opt label entries with
-    | Some slot ->
-      (* EWMA smooths one-off stalls; plain set — a lost race loses one
-         observation, not correctness. *)
-      Atomic.set slot ((0.7 *. Atomic.get slot) +. (0.3 *. per_task_s))
-    | None ->
-      Atomic.set cm.costs ((label, Atomic.make per_task_s) :: entries)
-  end
-
-(* The width an auto-sizing pool gives a map: full width while the label
-   is unknown (first map learns), then the smallest width that keeps
-   each worker's projected share around [threshold_s]. *)
-let width_for pool ~label ~tasks =
-  let full = workers pool ~tasks in
-  match pool.auto with
-  | None -> full
-  | Some cm ->
-    if full <= 1 then full
-    else begin
-      match observed_cost cm label with
-      | None -> full
-      | Some per_task ->
-        let projected = per_task *. float_of_int tasks in
-        if projected < cm.threshold_s then 1
-        else min full (max 1 (int_of_float (projected /. cm.threshold_s)))
-    end
-
-(* Pool-accounting instruments, named once: the solvers run thousands of
-   instrumented maps per second, and each map resolves these handles
-   without a lookup. *)
+(* Pool-accounting instruments, named once: each map resolves these
+   handles without a lookup. *)
 let maps_c = Metrics.counter_handle "exec.maps"
 let tasks_c = Metrics.counter_handle "exec.tasks"
 let workers_max_g = Metrics.gauge_handle "exec.workers_max"
@@ -159,11 +99,11 @@ type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 (* The one schedule. Worker [k] runs tasks [k], [k + w], ... on its own
    domain (the coordinator takes stride 0), under its own trace lane,
    timing its stride into slot [k] of [a]. Everything the caller sees
-   (results, the re-raised failure, accounting, the learned cost) is
-   read back in index order after every domain joins, so the width [w]
-   is pure scheduling. An outermost metered map also takes the Gc's
+   (results, the re-raised failure, accounting) is read back in index
+   order after every domain joins, so the width [w] is pure
+   scheduling. An outermost metered map also takes the Gc's
    counts around the whole region, spawned domains included. *)
-let run_strided pool ~label ~obs ~traced ~w f tasks =
+let run_strided ~obs ~traced ~w f tasks =
   let n = Array.length tasks in
   let slots = Array.make n Pending in
   let a = { busy = Array.make w 0.; tasks_run = Array.make w 0 } in
@@ -240,12 +180,6 @@ let run_strided pool ~label ~obs ~traced ~w f tasks =
      let gc = Option.map (fun g0 -> (g0, Gc.quick_stat ())) gc0 in
      emit_acct reg a ~n ~w ~wall ~spawn_s ~join_s ~gc
    | None -> ());
-  (* Busy seconds per task is the one cost signal: idle and spawn/join
-     overhead are excluded, so the estimate is width-independent. *)
-  (match pool.auto with
-   | Some cm ->
-     note_cost cm label (Array.fold_left ( +. ) 0. a.busy /. float_of_int n)
-   | None -> ());
   (* [Array.map] walks in index order: the lowest-index failure raises. *)
   Array.map
     (function
@@ -261,8 +195,8 @@ let map pool ?(label = "exec.map") ?(obs = Obs.noop) f tasks =
     Array.mapi (f obs) tasks
   else if n = 0 then [||]
   else begin
-    let w = width_for pool ~label ~tasks:n in
-    let region () = run_strided pool ~label ~obs ~traced ~w f tasks in
+    let w = workers pool ~tasks:n in
+    let region () = run_strided ~obs ~traced ~w f tasks in
     if traced then
       Obs.with_span obs
         ~args:[ ("tasks", string_of_int n); ("workers", string_of_int w) ]

@@ -1,10 +1,14 @@
 (** Deterministic domain-pool executor.
 
-    Every parallel layer in this tree (the design solver's refit probes,
-    the Monte Carlo year simulation, the experiment sweeps) has the same
-    shape: a fixed array of independent tasks whose results must not
-    depend on how they are scheduled. This module owns that contract
-    once, in one map, instead of each layer re-deriving it by hand:
+    Every parallel layer in this tree (greedy placement's technique
+    menu, the refit probes, portfolio restarts, fleet shards, the Monte
+    Carlo years, the experiment sweeps) has the same shape: a fixed
+    array of independent tasks whose results must not depend on how
+    they are scheduled. This module owns that contract once, in one
+    map, instead of each layer re-deriving it by hand. Work done per
+    evaluation (a configuration solve's window trials and growth moves)
+    runs as a loop instead: only stages whose maps all run wide use a
+    pool (DESIGN.md §13).
 
     - {b RNG pre-splitting.} {!map_rng} splits one generator per task
       off the caller's stream {e in task-index order, before any task
@@ -46,38 +50,17 @@ val create : ?domains:int -> unit -> pool
 val sequential : pool
 (** [create ~domains:1 ()]. *)
 
-val auto_width : ?threshold_s:float -> pool -> pool
-(** [auto_width pool] turns on stage-aware width auto-sizing: per map
-    [label], the pool remembers the observed per-task cost (an EWMA of
-    busy seconds per task) and sizes the next map of that label so
-    each worker's projected share is around [threshold_s] seconds
-    (default [1e-3], about 10x a domain spawn/join round trip). A
-    label's first map runs at full width and learns; later maps whose
-    projected serial time falls under the threshold clamp to one
-    worker and pay zero spawn/join. A one-domain pool is returned
-    as is: its width can never change, so there is nothing to learn.
-
-    Width is pure scheduling — the strided schedule, pre-split RNG and
-    index-order merges make every width byte-identical — so the
-    (timing-dependent) width choice cannot steer results; it only
-    moves wall time. Returns a new pool; the receiver is unchanged.
-    The cost table is shared by everything mapping through the
-    returned pool and is domain-safe.
-    @raise Invalid_argument when [threshold_s <= 0]. *)
-
-val width_for : pool -> label:string -> tasks:int -> int
-(** The width the pool would give a map of [tasks] tasks under
-    [label] right now: [workers pool ~tasks] for non-auto pools or
-    unknown labels, else the learned clamp (1 when the projected
-    serial time is under the threshold). Exposed for tests; the
-    estimate moves as maps run. *)
+val auto_width : pool -> pool
+(** The identity: every map runs {!workers} wide. Kept so that callers
+    written against learned-width pools still compile. *)
 
 val domains : pool -> int
 
 val workers : pool -> tasks:int -> int
-(** The number of domains a map over [tasks] tasks may use:
+(** The number of domains a map over [tasks] tasks uses:
     [max 1 (min (domains pool) tasks)] — never more domains than
-    tasks. *)
+    tasks. The width depends on nothing else, so a map's schedule never
+    depends on timing. *)
 
 val map :
   pool ->
@@ -87,14 +70,13 @@ val map :
   'a array ->
   'b array
 (** [map pool ~obs f tasks] is [Array.mapi (f obs) tasks], scheduled
-    across up to [workers pool ~tasks] domains with a strided schedule
+    across [workers pool ~tasks] domains with a strided schedule
     (worker [k] runs tasks [k], [k + w], ...). Task [i] runs as
     [f wobs i tasks.(i)] under its worker's capability [wobs]; tasks
     must not share mutable state unless that state is domain-safe.
-    [label] (default ["exec.map"]) names the region span and keys the
-    width learning of {!auto_width} pools; [obs] defaults to
-    {!Ds_obs.Obs.noop}. A one-domain pool with an all-off [obs] is
-    exactly [Array.mapi (f obs) tasks].
+    [label] (default ["exec.map"]) names the region span; [obs]
+    defaults to {!Ds_obs.Obs.noop}. A one-domain pool with an all-off
+    [obs] is exactly [Array.mapi (f obs) tasks].
 
     With sinks attached, each map also records, from the calling
     domain after the join:

@@ -43,7 +43,7 @@ let with_domains t domains =
 let sequential t = with_domains t 1
 
 let sweep t =
-  let pool = Exec.auto_width (Exec.create ~domains:(max 1 t.domains) ()) in
+  let pool = Exec.create ~domains:(max 1 t.domains) () in
   (pool, if Exec.domains pool > 1 then sequential t else t)
 
 let with_portfolio ?(race = false) ?max_evaluations t restarts =

@@ -48,10 +48,11 @@ val sequential : t -> t
     what experiments hand to work items already running on a pool. *)
 
 val sweep : t -> Ds_exec.Exec.pool * t
-(** [sweep t] is the auto-width pool {!field-domains} wide that an
-    experiment schedules its work items on, paired with the budgets
-    each item runs under: {!sequential} [t] when the pool is parallel
-    (the parallelism lives at one level only), [t] itself otherwise. *)
+(** [sweep t] is the pool {!field-domains} wide that an experiment
+    schedules its work items on, paired with the budgets each item runs
+    under: {!sequential} [t] when the pool is parallel (the parallelism
+    lives at one level only), [t] itself otherwise. Every map on it runs
+    as wide as the pool and its task count allow. *)
 
 val with_portfolio : ?race:bool -> ?max_evaluations:int -> t -> int -> t
 (** [with_portfolio t n] gives every randomized arm an [n]-restart

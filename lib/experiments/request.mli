@@ -98,8 +98,8 @@ val run_solve :
   solve ->
   (solved, error) result
 (** One restart runs {!Ds_solver.Design_solver.solve} with [memo]; more
-    run the {!Ds_search.Search} portfolio on [pool] (default:
-    auto-width, as wide as the budget's [domains]). *)
+    run the {!Ds_search.Search} portfolio on [pool] (default: the
+    budget's {!Budgets.sweep} pool, as wide as its [domains]). *)
 
 type risk_report = {
   provision : Ds_design.Provision.t;

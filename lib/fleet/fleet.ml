@@ -304,8 +304,7 @@ let reconcile ~params ~max_reconcile_passes ~obs ~rng env apps likelihood
     apps }
 
 let shard_pool params =
-  Exec.auto_width
-    (Exec.create ~domains:(max 1 params.Design_solver.domains) ())
+  Exec.create ~domains:(max 1 params.Design_solver.domains) ()
 
 let inner_params params = { params with Design_solver.domains = 1 }
 

@@ -13,7 +13,7 @@ type span = {
   depth : int;
   path : string;  (* "/"-joined ancestor names, self included *)
   tid : int;  (* lane: 1 = the creating thread, 2.. = worker lanes *)
-  alloc : alloc;  (* Gc.quick_stat deltas across the span, this domain *)
+  alloc : alloc;  (* allocated across the span, this domain *)
 }
 
 (* A collector is single-threaded by construction: spans nest by dynamic
@@ -65,8 +65,11 @@ let merge ~into child =
 
 let rel c now = Int64.sub now c.origin
 
-let alloc_delta (before : Gc.stat) (after : Gc.stat) =
-  { minor_words = after.Gc.minor_words -. before.Gc.minor_words;
+(* Minor words come from [Gc.minor_words], which counts this domain's
+   allocation to the word; [Gc.quick_stat]'s figure lags until the next
+   minor collection. *)
+let alloc_delta ~minor_words (before : Gc.stat) (after : Gc.stat) =
+  { minor_words;
     major_words = after.Gc.major_words -. before.Gc.major_words;
     minor_collections = after.Gc.minor_collections - before.Gc.minor_collections;
     major_collections = after.Gc.major_collections - before.Gc.major_collections }
@@ -92,12 +95,14 @@ let with_span c ?(args = []) name f =
     List.length c.stack + (match c.base_path with None -> 0 | Some _ -> 1)
   in
   let gc0 = Gc.quick_stat () in
+  let minor0 = Gc.minor_words () in
   let start_ns = rel c (Monotonic_clock.now ()) in
   c.stack <- path :: c.stack;
   Fun.protect
     ~finally:(fun () ->
+        let minor_words = Gc.minor_words () -. minor0 in
         let dur_ns = Int64.sub (rel c (Monotonic_clock.now ())) start_ns in
-        let alloc = alloc_delta gc0 (Gc.quick_stat ()) in
+        let alloc = alloc_delta ~minor_words gc0 (Gc.quick_stat ()) in
         c.stack <- List.tl c.stack;
         c.spans <-
           { name; args; start_ns; dur_ns; depth; path; tid = c.tid; alloc }

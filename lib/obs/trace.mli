@@ -7,9 +7,12 @@
     domains join, lanes are folded back with {!merge} — Chrome trace
     export then shows one lane (thread row) per domain.
 
-    Every span also carries the [Gc.quick_stat] delta of its own domain
-    across its extent (minor/major words allocated, collection counts),
-    so the trace attributes allocation as well as wall time.
+    Every span also carries what its own domain allocated across its
+    extent, so the trace attributes allocation as well as wall time:
+    minor words from [Gc.minor_words], which is exact, and major words
+    and collection counts from [Gc.quick_stat]. ([Gc.quick_stat]'s
+    minor words leave out what the domain allocated since its last
+    minor collection, so a short span would read 0.)
 
     Export either as Chrome trace-event JSON — load the file in
     [chrome://tracing] or [ui.perfetto.dev] — or as an aggregated text

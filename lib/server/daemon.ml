@@ -146,7 +146,7 @@ let create ?registry config =
     bound_port;
     registry;
     memo = Config_solver.create_cache ~size:(max 1 config.cache_capacity) ();
-    pool = Exec.auto_width (Exec.create ~domains:(max 1 config.domains) ());
+    pool = Exec.create ~domains:(max 1 config.domains) ();
     started_at = Metrics.now_s ();
     lock = Mutex.create ();
     work = Condition.create ();
@@ -595,12 +595,45 @@ let close_conn t conn =
         try Unix.close conn.fd with Unix.Unix_error _ -> ()
       end)
 
-let rec reader_loop t conn =
-  match input_line conn.ic with
-  | line ->
-    handle_line t conn line;
-    reader_loop t conn
-  | exception (End_of_file | Sys_error _) -> close_conn t conn
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] that stops at [max_line_bytes]: [Some line] for a line
+   of at most that many bytes (a last line without its newline
+   included), [None] once a line runs past it. Raises [End_of_file] at
+   the end of input with nothing read, as [input_line] does. *)
+let read_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Buffer.contents buf)
+    | _ when Buffer.length buf >= max_line_bytes -> None
+    | ch ->
+      Buffer.add_char buf ch;
+      go ()
+    | exception End_of_file when Buffer.length buf > 0 ->
+      Some (Buffer.contents buf)
+  in
+  go ()
+
+let reader_loop t conn =
+  let buf = Buffer.create 256 in
+  let rec loop () =
+    match read_line conn.ic buf with
+    | Some line ->
+      handle_line t conn line;
+      loop ()
+    | None ->
+      (* Refused once, then the connection ends: no request boundary
+         can be trusted after an over-long line. *)
+      Metrics.incr (Metrics.counter t.registry "server.requests");
+      Metrics.incr (Metrics.counter t.registry "server.errors");
+      send conn
+        (Protocol.error_response ~id:Json.Null ~code:Protocol.invalid_request
+           (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
+    | exception (End_of_file | Sys_error _) -> ()
+  in
+  loop ();
+  close_conn t conn
 
 let rec accept_loop t =
   let running = Mutex.protect t.lock (fun () -> t.phase = Running) in

@@ -1,11 +1,11 @@
 (** The design tool as a long-running service.
 
     A daemon owns the expensive state a one-shot [dstool] run rebuilds
-    from scratch every time — a resident auto-width {!Ds_exec.Exec}
-    pool, a shared {!Ds_solver.Memo} configuration cache, a
-    {!Ds_obs.Metrics} registry and the incumbent designs of named
-    fleets — and serves design / risk / fleet queries over
-    newline-delimited JSON-RPC 2.0 on TCP (DESIGN.md §16).
+    from scratch every time — a resident {!Ds_exec.Exec} pool, a shared
+    {!Ds_solver.Memo} configuration cache, a {!Ds_obs.Metrics} registry
+    and the incumbent designs of named fleets — and serves design /
+    risk / fleet queries over newline-delimited JSON-RPC 2.0 on TCP
+    (DESIGN.md §16). Request lines are capped at {!max_line_bytes}.
 
     {b Threading.} One reader systhread per connection, a bounded
     admission queue, and [concurrency] worker threads. Cheap methods
@@ -41,6 +41,11 @@ val default_config : config
     16; budget_evals = None; cache_capacity = 4096; domains = 1 }]. *)
 
 type t
+
+val max_line_bytes : int
+(** The longest request line a connection may send, newline excluded:
+    1 MiB. A longer line gets one [invalid_request] error naming the
+    cap, and then the connection closes. *)
 
 val create : ?registry:Ds_obs.Metrics.registry -> config -> t
 (** Bind and listen (the port is fixed here — {!port} is valid before

@@ -11,7 +11,6 @@ module Scenario = Ds_failure.Scenario
 module Simulate = Ds_recovery.Simulate
 module Evaluate = Ds_cost.Evaluate
 module Obs = Ds_obs.Obs
-module Exec = Ds_exec.Exec
 
 (* Counters bumped per trial or per solve, named once here. *)
 let window_trials = Obs.Metrics.counter_handle "config.window_trials"
@@ -142,22 +141,19 @@ let with_windows design (asg : Assignment.t) ~snapshot_win ~tape_win ~fulls_ever
      | Some design -> Ok design
      | None -> Error "app not assigned")
 
+(* Each stage that has trials runs under one span of its name; a stage
+   with none records nothing. *)
+let with_stage obs name trials f =
+  if Array.length trials = 0 then f () else Obs.with_span obs name f
+
 (* Coordinate-descent over the window menus, one app at a time in
    descending penalty order; each combination is evaluated against the
    full candidate (Section 3.2: exhaustive search over the discretized
-   ranges).
-
-   Each app's combinations are evaluated in parallel on [pool]. That is
-   result-transparent because the sequential fold's running best never
-   leaks into a later trial: [with_windows] overwrites the app's three
-   window fields wholesale and [Design.add] re-sorts assignments
-   canonically, so a trial built from the fold's current best design is
-   byte-identical to one built from the app-entry design. The fold is
-   therefore an argmin over independent trials, taken here in combo-index
-   order with the strict-[<] first-wins tie-breaking of the original
-   loop. Each trial is costed from the app-entry evaluation, re-simulating
-   only the scenarios the app's new windows can change. *)
-let optimize_windows ~options ~obs ~pool ~footprints ~batch design current_eval =
+   ranges). Every trial of an app is built from the app-entry design and
+   costed from the app-entry evaluation, re-simulating only the
+   scenarios the app's new windows can change; the running best is kept
+   by strict [<], so the lowest combo index wins a tie. *)
+let optimize_windows ~options ~obs ~footprints ~batch design current_eval =
   let scope_ids =
     match options.window_scope with
     | All_apps ->
@@ -184,51 +180,43 @@ let optimize_windows ~options ~obs ~pool ~footprints ~batch design current_eval 
     |> Array.of_list
   in
   (* Resolved here, as every solve has always created the counter, even
-     one that runs no trial. Workers share the registry with [obs]. *)
+     one that runs no trial. *)
   let trials_c = Obs.instrument obs window_trials in
   List.fold_left
     (fun (design, eval) (asg : Assignment.t) ->
        let move = Evaluate.Windows asg.app.App.id in
-       let trials =
-         Exec.map pool ~label:"config.windows" ~obs
-           (fun wobs _ (snapshot_win, tape_win, fulls_every) ->
-              match
-                with_windows design asg ~snapshot_win ~tape_win ~fulls_every
-              with
-              | Error _ -> None
-              | Ok trial ->
-                (match trials_c with
-                 | Some c -> Obs.Metrics.incr c
-                 | None -> ());
-                (match Provision.minimum trial with
-                 | Error _ -> None
-                 | Ok prov ->
-                   Some
-                     ( trial,
-                       Evaluate.update ~params:options.recovery ~obs:wobs
-                         ~batch ~footprints eval move prov )))
-           combos
-       in
+       with_stage obs "config.windows" combos @@ fun () ->
        Array.fold_left
-         (fun (best_design, best_eval) trial ->
-            match trial with
-            | None -> (best_design, best_eval)
-            | Some (trial, trial_eval) ->
-              if Money.compare (Evaluate.total trial_eval)
-                   (Evaluate.total best_eval) < 0
-              then (trial, trial_eval)
-              else (best_design, best_eval))
-         (design, eval) trials)
+         (fun ((_, best_eval) as best) (snapshot_win, tape_win, fulls_every) ->
+            match
+              with_windows design asg ~snapshot_win ~tape_win ~fulls_every
+            with
+            | Error _ -> best
+            | Ok trial ->
+              (match trials_c with
+               | Some c -> Obs.Metrics.incr c
+               | None -> ());
+              (match Provision.minimum trial with
+               | Error _ -> best
+               | Ok prov ->
+                 let trial_eval =
+                   Evaluate.update ~params:options.recovery ~obs ~batch
+                     ~footprints eval move prov
+                 in
+                 if Money.compare (Evaluate.total trial_eval)
+                      (Evaluate.total best_eval) < 0
+                 then (trial, trial_eval)
+                 else best))
+         (design, eval) combos)
     (design, current_eval) candidates
 
 (* Add one resource unit at a time while it reduces total cost
    (Section 3.2.2: "continues to add resources until it no longer
-   produces any cost savings"). Each round's candidate moves are
-   independent (all grown from the round-entry provisioning), so they
-   evaluate in parallel on [pool]; the winner is picked in move-index
-   order with the original strict-[<] first-wins tie-breaking. A move
-   re-simulates only the scenarios that read the grown device. *)
-let grow_resources ~options ~obs ~pool ~footprints ~batch eval =
+   produces any cost savings"). Each round's candidate moves all grow
+   the round-entry provisioning; the round keeps the cheapest by strict
+   [<], so the lowest move index wins a tie. A move re-simulates only
+   the scenarios that read the grown device. *)
+let grow_resources ~options ~obs ~footprints ~batch eval =
   let recovery = options.recovery in
   let rec loop eval steps =
     if steps >= options.max_growth_steps then eval
@@ -236,32 +224,22 @@ let grow_resources ~options ~obs ~pool ~footprints ~batch eval =
       let moves =
         Array.of_list (Provision.growth_moves eval.Evaluate.provision)
       in
-      let trials =
-        Exec.map pool ~label:"config.growth" ~obs
-          (fun wobs _ move ->
-             match Provision.grow eval.Evaluate.provision move with
-             | None -> None
-             | Some prov ->
-               Some
-                 (Evaluate.update ~params:recovery ~obs:wobs ~batch ~footprints
-                    eval (Evaluate.Growth move) prov))
-          moves
-      in
       let improved =
+        with_stage obs "config.growth" moves @@ fun () ->
         Array.fold_left
-          (fun best trial ->
-             match trial with
+          (fun best move ->
+             match Provision.grow eval.Evaluate.provision move with
              | None -> best
-             | Some trial ->
-               let better_than_incumbent =
-                 match best with
-                 | Some incumbent ->
-                   Money.compare (Evaluate.total trial) (Evaluate.total incumbent) < 0
-                 | None ->
-                   Money.compare (Evaluate.total trial) (Evaluate.total eval) < 0
+             | Some prov ->
+               let trial =
+                 Evaluate.update ~params:recovery ~obs ~batch ~footprints eval
+                   (Evaluate.Growth move) prov
                in
-               if better_than_incumbent then Some trial else best)
-          None trials
+               let bar = match best with Some b -> b | None -> eval in
+               if Money.compare (Evaluate.total trial) (Evaluate.total bar) < 0
+               then Some trial
+               else best)
+          None moves
       in
       match improved with
       | Some better ->
@@ -272,15 +250,14 @@ let grow_resources ~options ~obs ~pool ~footprints ~batch eval =
   in
   loop eval 0
 
-let solve_fresh ~options ~obs ~pool design likelihood =
+let solve_fresh ~options ~obs design likelihood =
   (* One enumeration serves the whole solve: window trials rewrite backup
      chains and growth trials re-provision, but neither moves an app or a
      slot, so [Scenario.enumerate] — and each scenario's footprint — is
      invariant across every trial evaluated below. *)
   let scenarios = Scenario.enumerate likelihood design in
   let footprints = Array.of_list (List.map (Simulate.footprint design) scenarios) in
-  (* Likewise one instrument batch: worker [obs] values only differ from
-     [obs] by their trace lane; the metrics registry is shared. *)
+  (* Likewise one instrument batch. *)
   Simulate.with_batch obs @@ fun batch ->
   match
     Evaluate.design ~params:options.recovery ~obs ~scenarios ~batch design
@@ -289,17 +266,16 @@ let solve_fresh ~options ~obs ~pool design likelihood =
   | Error _ as e -> e
   | Ok eval ->
     let design, eval =
-      optimize_windows ~options ~obs ~pool ~footprints ~batch design eval
+      optimize_windows ~options ~obs ~footprints ~batch design eval
     in
-    let eval = grow_resources ~options ~obs ~pool ~footprints ~batch eval in
+    let eval = grow_resources ~options ~obs ~footprints ~batch eval in
     Ok (Candidate.v design eval)
 
-let solve ?(options = default_options) ?(obs = Obs.noop)
-    ?(pool = Exec.sequential) design likelihood =
+let solve ?(options = default_options) ?(obs = Obs.noop) design likelihood =
   Obs.with_span obs "config.solve" @@ fun () ->
   Obs.bump obs solves;
   match options.memo with
-  | None -> solve_fresh ~options ~obs ~pool design likelihood
+  | None -> solve_fresh ~options ~obs design likelihood
   | Some memo ->
     let key = cache_key ~options design likelihood in
     (match Memo.find memo key with
@@ -308,6 +284,6 @@ let solve ?(options = default_options) ?(obs = Obs.noop)
        result
      | None ->
        Obs.bump obs cache_misses;
-       let result = solve_fresh ~options ~obs ~pool design likelihood in
+       let result = solve_fresh ~options ~obs design likelihood in
        if Memo.add memo key result then Obs.bump obs cache_evictions;
        result)

@@ -62,7 +62,6 @@ val search_options : options
 val solve :
   ?options:options ->
   ?obs:Ds_obs.Obs.t ->
-  ?pool:Ds_exec.Exec.pool ->
   Design.t ->
   Likelihood.t ->
   (Candidate.t, Provision.infeasibility) result
@@ -79,14 +78,14 @@ val solve :
     scenarios the move can change — bit-identical to a from-scratch
     evaluation (DESIGN.md §17).
 
-    [pool] (default sequential) spreads the window-trial and
-    growth-move evaluations across domains. The pool is pure
-    scheduling: trials are independent within a coordinate-descent /
-    growth round and winners are folded in task-index order with the
-    sequential loop's tie-breaking, so results are byte-identical at
-    every domain count (spans are stripped on worker domains, as in the
-    parallel refit). Since the pool cannot change results, memoized
-    entries remain valid across pools.
+    Window trials and growth moves run as loops on the calling domain,
+    in menu and move order; each stage keeps its cheapest trial by
+    strict [<], so ties go to the lowest index. Every app whose windows
+    are searched gets one [config.windows] span, and every growth round
+    with at least one move gets one [config.growth] span. A solve is
+    small work, run hundreds of times per design solve: callers
+    parallelize across solves ([Reconfigure.assign_best], the refit
+    probes), never inside one (DESIGN.md §13).
 
     With [options.memo] set, results are memoized on the canonical
     (options, design, likelihood) fingerprint: hits return the cached

@@ -43,12 +43,10 @@ type outcome = {
 }
 
 let cost_dollars c = Money.to_dollars (Candidate.cost c)
-(* Solver pools auto-size: the greedy/window/growth stages mix wide maps
-   (probes, window menus) with tiny ones (a few growth moves), and the
-   tiny ones must not pay domain spawn/join. Width stays pure
-   scheduling, so this cannot change any solver result. *)
-let pool_of params =
-  Exec.auto_width (Exec.create ~domains:(max 1 params.domains) ())
+(* The solver's pool carries the greedy placement's technique menu and
+   the refit probes; configuration solves run as loops inside their
+   tasks. *)
+let pool_of params = Exec.create ~domains:(max 1 params.domains) ()
 
 (* Stage 1. Applications with stringent requirements are placed first —
    the draw is weighted by the sum of penalty rates. [start] is the
@@ -83,8 +81,8 @@ let greedy_from ~pool state params start apps =
            other config-solver call, so it counts as an evaluation. *)
         Reconfigure.count_evaluation state;
         (match
-           Config_solver.solve ~options:state.Reconfigure.options ~obs ~pool
-             design state.Reconfigure.likelihood
+           Config_solver.solve ~options:state.Reconfigure.options ~obs design
+             state.Reconfigure.likelihood
          with
          | Ok candidate -> Some candidate
          | Error _ -> attempt (restart + 1))
@@ -256,8 +254,8 @@ let solve ?(params = default_params) ?(obs = Obs.noop) ?rng ?abandon ?memo env
   let rng =
     match rng with Some rng -> rng | None -> Rng.of_int params.seed
   in
-  (* One pool for the whole solve: refit probes, the greedy re-evaluation
-     and the polish pass all schedule onto it. *)
+  (* One pool for the whole solve: greedy placement and the refit probes
+     schedule onto it. *)
   let pool = pool_of params in
   let memo, mirror_memo_stats = install_memo ?memo params obs in
   let options = { params.options with Config_solver.memo } in
@@ -276,11 +274,9 @@ let solve ?(params = default_params) ?(obs = Obs.noop) ?rng ?abandon ?memo env
     in
     let best = Candidate.better refined greedy_best in
     (* Final polish: the search ran with cheap configuration options; give
-       the winning design the full window search and growth budget. The
-       window trials and growth moves spread across [pool] (pure
-       scheduling — the parallel argmin keeps the sequential loop's
-       tie-breaking). Raced-off runs are polished too: the portfolio
-       compares finished candidates only. *)
+       the winning design the full window search and growth budget.
+       Raced-off runs are polished too: the portfolio compares finished
+       candidates only. *)
     let best =
       match params.polish with
       | None -> best
@@ -290,7 +286,7 @@ let solve ?(params = default_params) ?(obs = Obs.noop) ?rng ?abandon ?memo env
         let options = { polish_options with Config_solver.memo } in
         (match
            Obs.with_span obs "solver.polish" (fun () ->
-               Config_solver.solve ~options ~obs ~pool best.Candidate.design
+               Config_solver.solve ~options ~obs best.Candidate.design
                  state.Reconfigure.likelihood)
          with
          | Ok polished -> Candidate.better polished best
@@ -361,8 +357,9 @@ let resolve ?(params = default_params) ?(obs = Obs.noop) ?rng ?memo ~incumbent
         { (Option.value params.polish ~default:params.options) with
           Config_solver.window_scope = Config_solver.Skip; memo }
       in
-      match Config_solver.solve ~options:floor_options ~obs ~pool rebased
-              likelihood with
+      match
+        Config_solver.solve ~options:floor_options ~obs rebased likelihood
+      with
       | Ok floor -> Some floor
       | Error _ -> None
     end
@@ -423,7 +420,7 @@ let resolve ?(params = default_params) ?(obs = Obs.noop) ?rng ?memo ~incumbent
           in
           (match
              Obs.with_span obs "solver.polish" (fun () ->
-                 Config_solver.solve ~options ~obs ~pool best.Candidate.design
+                 Config_solver.solve ~options ~obs best.Candidate.design
                    likelihood)
            with
            | Ok polished -> Candidate.better polished best

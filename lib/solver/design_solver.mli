@@ -40,9 +40,11 @@ type params = {
           caching ([dstool --no-config-cache]). Result-transparent
           either way: a fixed seed yields a byte-identical design. *)
   domains : int;
-      (** Number of OCaml domains running each refit round's [breadth]
-          probe walks ([dstool --domains]). [1] (the default) runs them
-          in order on the calling domain. The probes are scheduled by
+      (** Number of OCaml domains running each greedy step's technique
+          menu and each refit round's [breadth] probe walks ([dstool
+          --domains]); configuration solves themselves always run on
+          one domain. [1] (the default) runs them in order on the
+          calling domain. The probes are scheduled by
           {!Ds_exec.Exec}, whose pre-split/index-order-merge contract
           makes the domain count pure scheduling: every probe's RNG
           stream is pre-split from the round's generator in probe-index

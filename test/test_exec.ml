@@ -35,6 +35,28 @@ let api_tests =
           (Exec.map pool (fun _ _ x -> x + 1) [| 0; 1; 2 |]);
         check_int "workers clamp to the task count" 3
           (Exec.workers pool ~tasks:3));
+    Alcotest.test_case "every map runs as wide as its task count allows"
+      `Quick (fun () ->
+        (* The width is a function of the pool and the task count alone:
+           a cheap label mapped again and again keeps its full width,
+           and [auto_width] changes nothing. *)
+        let obs = Obs.create ~trace:true () in
+        let pool = Exec.auto_width (Exec.create ~domains:4 ()) in
+        List.iter
+          (fun tasks ->
+             for _ = 1 to 3 do
+               ignore
+                 (Exec.map pool ~label:"cheap" ~obs (fun _ _ x -> x)
+                    (Array.make tasks 0))
+             done)
+          [ 8; 2 ];
+        let widths =
+          Obs.Trace.spans (Option.get (Obs.trace obs))
+          |> List.filter (fun (s : Obs.Trace.span) -> s.name = "cheap")
+          |> List.map (fun (s : Obs.Trace.span) -> List.assoc "workers" s.args)
+        in
+        Alcotest.(check (list string)) "workers per map"
+          [ "4"; "4"; "4"; "2"; "2"; "2" ] widths);
     Alcotest.test_case "map passes the task index" `Quick (fun () ->
         let pool = Exec.create ~domains:4 () in
         Alcotest.(check (array int))
@@ -220,107 +242,6 @@ let acct_tests =
          check_int "failed tasks still count as run" 4
            (Metrics.count (Metrics.counter reg "exec.tasks_completed"))) ]
 
-(* Enough work per task that the monotonic clock sees a non-zero busy
-   time — the expensive-stage tests below must learn a cost > 0. *)
-let burn x =
-  let acc = ref x in
-  for i = 1 to 100_000 do
-    acc := (!acc + i) mod 1_000_003
-  done;
-  !acc
-
-let auto_tests =
-  [ Alcotest.test_case "width_for degenerates to workers without auto" `Quick
-      (fun () ->
-         let pool = Exec.create ~domains:4 () in
-         List.iter
-           (fun tasks ->
-              check_int
-                (Printf.sprintf "%d tasks" tasks)
-                (Exec.workers pool ~tasks)
-                (Exec.width_for pool ~label:"anything" ~tasks))
-           [ 0; 1; 2; 4; 100 ]);
-    Alcotest.test_case "auto_width rejects a non-positive threshold" `Quick
-      (fun () ->
-         Alcotest.check_raises "threshold = 0"
-           (Invalid_argument "Exec.auto_width: threshold must be > 0")
-           (fun () ->
-              ignore (Exec.auto_width ~threshold_s:0. Exec.sequential)));
-    Alcotest.test_case "unknown labels and degenerate inputs get full width"
-      `Quick (fun () ->
-          let pool = Exec.auto_width (Exec.create ~domains:8 ()) in
-          check_int "unknown label runs at full width" 8
-            (Exec.width_for pool ~label:"never-seen" ~tasks:100);
-          check_int "0 tasks" 1 (Exec.width_for pool ~label:"never-seen" ~tasks:0);
-          check_int "1 task" 1 (Exec.width_for pool ~label:"never-seen" ~tasks:1);
-          check_int "tasks clamp below the domain count" 3
-            (Exec.width_for pool ~label:"never-seen" ~tasks:3));
-    Alcotest.test_case "a learned-cheap stage clamps to one worker" `Quick
-      (fun () ->
-         (* A huge threshold makes any finite learned cost project under
-            it — the clamp decision is deterministic, not timing-luck. *)
-         let pool = Exec.auto_width ~threshold_s:1e9 (Exec.create ~domains:4 ()) in
-         let obs = Obs.create ~metrics:true () in
-         let tasks = Array.init 8 (fun i -> i) in
-         Alcotest.(check (array int)) "first (learning) map is correct"
-           (Array.map (fun x -> x + 1) tasks)
-           (Exec.map pool ~label:"cheap" ~obs (fun _ _ x -> x + 1) tasks);
-         check_int "next map of that label runs sequentially" 1
-           (Exec.width_for pool ~label:"cheap" ~tasks:8);
-         check_int "other labels still run wide" 4
-           (Exec.width_for pool ~label:"other" ~tasks:8);
-         Alcotest.(check (array int)) "clamped map is still correct"
-           (Array.map (fun x -> x + 1) tasks)
-           (Exec.map pool ~label:"cheap" ~obs (fun _ _ x -> x + 1) tasks));
-    Alcotest.test_case "an uninstrumented map still learns costs" `Quick
-      (fun () ->
-         (* The bench path maps under a noop capability; auto-sizing must
-            learn busy time there too or it would never help the bench. *)
-         let pool = Exec.auto_width ~threshold_s:1e9 (Exec.create ~domains:4 ()) in
-         let tasks = Array.init 8 (fun i -> i) in
-         ignore (Exec.map pool ~label:"noop-stage" (fun _ _ x -> x + 1) tasks);
-         check_int "learned from busy time" 1
-           (Exec.width_for pool ~label:"noop-stage" ~tasks:8));
-    Alcotest.test_case "a learned-expensive stage keeps its width" `Quick
-      (fun () ->
-         (* A tiny threshold sends the projection over it for any real
-            work, so the stage keeps the full pool. *)
-         let pool =
-           Exec.auto_width ~threshold_s:1e-12 (Exec.create ~domains:4 ())
-         in
-         let obs = Obs.create ~metrics:true () in
-         let tasks = Array.init 8 (fun i -> i) in
-         ignore (Exec.map pool ~label:"hot" ~obs (fun _ _ x -> burn x) tasks);
-         check_int "stays at full width" 4
-           (Exec.width_for pool ~label:"hot" ~tasks:8));
-    Alcotest.test_case "auto-sizing never changes map_rng results" `Quick
-      (fun () ->
-         let tasks = Array.init 12 (fun i -> i) in
-         let draw _ rng i = (i, Rng.int rng 1_000_000, Rng.unit_float rng) in
-         let reference =
-           Exec.map_rng Exec.sequential ~label:"stage" ~rng:(Rng.of_int 7) draw
-             tasks
-         in
-         List.iter
-           (fun threshold_s ->
-              let pool =
-                Exec.auto_width ~threshold_s (Exec.create ~domains:4 ())
-              in
-              let obs = Obs.create ~metrics:true () in
-              (* Twice: the first map learns at full width, the second
-                 runs at whatever width the policy picked. Both must be
-                 byte-identical to the sequential reference. *)
-              List.iter
-                (fun pass ->
-                   check_bool
-                     (Printf.sprintf "threshold %g, pass %d" threshold_s pass)
-                     true
-                     (Exec.map_rng pool ~label:"stage" ~obs
-                        ~rng:(Rng.of_int 7) draw tasks
-                      = reference))
-                [ 1; 2 ])
-           [ 1e9; 1e-12; 1e-3 ]) ]
-
 let obs_tests =
   [ Alcotest.test_case "the calling domain keeps the caller's trace" `Quick
       (fun () ->
@@ -345,5 +266,4 @@ let suites =
   [ ("exec.api", api_tests);
     ("exec.determinism", determinism_tests);
     ("exec.accounting", acct_tests);
-    ("exec.auto", auto_tests);
     ("exec.obs", obs_tests) ]

@@ -424,7 +424,25 @@ let trace_tests =
          let tree = Format.asprintf "%a" Trace.pp_tree c in
          check_bool "parent line" true (contains tree "solve");
          check_bool "child aggregated x3" true (contains tree "x3");
-         check_bool "child indented" true (contains tree "  step")) ]
+         check_bool "child indented" true (contains tree "  step"));
+    Alcotest.test_case "a short span reads its exact minor words" `Quick
+      (fun () ->
+         (* 10,000 cons cells are 30,000 words; the span's own
+            bookkeeping adds a few dozen. A Gc.quick_stat delta reads 0
+            for a span that no minor collection falls inside. *)
+         let c = Trace.create () in
+         for _ = 1 to 5 do
+           Trace.with_span c "alloc" (fun () ->
+               ignore (Sys.opaque_identity (List.init 10_000 Fun.id)))
+         done;
+         List.iter
+           (fun (s : Trace.span) ->
+              let words = s.Trace.alloc.Trace.minor_words in
+              check_bool
+                (Printf.sprintf "%.0f minor words in [30000, 30300]" words)
+                true
+                (words >= 30_000. && words <= 30_300.))
+           (Trace.spans c)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain trace lanes                                              *)
@@ -860,12 +878,13 @@ let solver_tests =
 (* Instrument overhead: what a metered solve pays for its metrics       *)
 (* ------------------------------------------------------------------ *)
 
-(* The quad, 6-app, quick-budget solve at seed 7, on one domain. *)
-let quad_solve obs =
+(* The quad, 6-app, quick-budget solve at seed 7, on one domain; with
+   [restarts] above 1, a portfolio of that many restarts. *)
+let quad_solve ?restarts obs =
   let module R = Experiments.Request in
   let ok = function Ok v -> v | Error e -> Alcotest.fail (R.error_message e) in
   let env, apps = ok (R.instance ~apps:6 "quad") in
-  let budget = ok (R.budget ~domains:1 ~seed:7 "quick") in
+  let budget = ok (R.budget ?restarts ~domains:1 ~seed:7 "quick") in
   ignore
     (R.best
        (ok
@@ -894,15 +913,22 @@ let overhead_tests =
            (registry_acquisitions reg - created));
     Alcotest.test_case "exec Gc accounting counts a nested map once" `Slow
       (fun () ->
-         (* config.windows and config.growth maps run inside solver.assign
-            and solver.probes tasks. Only the outermost map adds its Gc
-            delta, so the total cannot exceed what the whole solve
+         (* Each restart of a one-domain portfolio is a portfolio.wave
+            task, and its solver runs solver.assign and solver.probes
+            maps inside that task. Only the outermost map adds its Gc
+            delta, so the total cannot exceed what the whole portfolio
             allocated. *)
          let obs = Obs.create ~metrics:true () in
          let g0 = Gc.quick_stat () in
-         quad_solve obs;
+         quad_solve ~restarts:2 obs;
          let g1 = Gc.quick_stat () in
          let reg = Option.get (Obs.metrics obs) in
+         let maps = Metrics.count (Metrics.counter reg "exec.maps") in
+         check_int "two restarts, one wave each" 2
+           (Metrics.count (Metrics.counter reg "portfolio.restarts"));
+         check_bool
+           (Printf.sprintf "maps nested in the waves ran (%d maps)" maps)
+           true (maps > 2);
          let solve_words = g1.Gc.minor_words -. g0.Gc.minor_words in
          let exec_words = Metrics.value (Metrics.gauge reg "exec.minor_words") in
          check_bool

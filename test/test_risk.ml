@@ -105,9 +105,7 @@ let risk_tests =
              check_bool "identical sorted totals" true
                (sequential.Year_sim.sorted_totals
                 = parallel.Year_sim.sorted_totals))
-          [ Exec.create ~domains:2 ();
-            Exec.create ~domains:4 ();
-            Exec.auto_width (Exec.create ~domains:4 ()) ]);
+          [ Exec.create ~domains:2 (); Exec.create ~domains:4 () ]);
     Alcotest.test_case "percentile reads the stored sorted totals" `Quick
       (fun () ->
          let prov = prov_of (Fixtures.two_app_design ()) in
@@ -311,9 +309,7 @@ let tail_tests =
                (cert_ref.Tail_sim.verdict = cert.Tail_sim.verdict
                 && cert_ref.Tail_sim.deciding_bound
                    = cert.Tail_sim.deciding_bound))
-          [ Exec.create ~domains:2 ();
-            Exec.create ~domains:4 ();
-            Exec.auto_width (Exec.create ~domains:4 ()) ]);
+          [ Exec.create ~domains:2 (); Exec.create ~domains:4 () ]);
     Alcotest.test_case "mixture estimate agrees with the analytic mean" `Slow
       (fun () ->
         (* The balance-heuristic weighting must keep the tilted strata

@@ -160,6 +160,28 @@ let direct_design seed =
   | Some o -> Design_io.to_string o.Design_solver.best.Candidate.design
   | None -> Alcotest.fail "direct solve found no design"
 
+(* A plain socket to the daemon, for lines no client would send. A read
+   that gets no answer fails after 10 s instead of hanging the suite. *)
+let with_raw_conn d f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+       Unix.connect fd
+         (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.port d));
+       f (Unix.in_channel_of_descr fd) (Unix.out_channel_of_descr fd))
+
+let health_line =
+  Protocol.request ~id:(Json.Num 1.) ~method_:"health" ~params:(Json.Obj [])
+
+let check_health ic =
+  match Protocol.parse_incoming (input_line ic) with
+  | Ok (Protocol.Reply { result = Ok h; _ }) ->
+    check_bool "health answers" true
+      (Json.member "status" h = Some (Json.Str "ok"))
+  | _ -> Alcotest.fail "expected a health reply"
+
 let base_config =
   { Daemon.default_config with
     Daemon.port = 0;
@@ -300,58 +322,64 @@ let determinism_tests =
     Alcotest.test_case "unparseable lines get a null-id error reply" `Quick
       (fun () ->
          with_daemon base_config (fun d ->
-             let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-             Fun.protect
-               ~finally:(fun () ->
-                 try Unix.close fd with Unix.Unix_error _ -> ())
-               (fun () ->
-                  Unix.connect fd
-                    (Unix.ADDR_INET
-                       (Unix.inet_addr_loopback, Daemon.port d));
-                  let oc = Unix.out_channel_of_descr fd in
-                  let ic = Unix.in_channel_of_descr fd in
-                  output_string oc "this is not json\n";
-                  flush oc;
-                  match Protocol.parse_incoming (input_line ic) with
-                  | Ok (Protocol.Reply { id; result = Error e }) ->
-                    check_bool "null id" true (id = Json.Null);
-                    check_int "parse_error" Protocol.parse_error
-                      e.Protocol.code
-                  | _ -> Alcotest.fail "expected a parse-error reply")));
+             with_raw_conn d (fun ic oc ->
+                 output_string oc "this is not json\n";
+                 flush oc;
+                 match Protocol.parse_incoming (input_line ic) with
+                 | Ok (Protocol.Reply { id; result = Error e }) ->
+                   check_bool "null id" true (id = Json.Null);
+                   check_int "parse_error" Protocol.parse_error
+                     e.Protocol.code
+                 | _ -> Alcotest.fail "expected a parse-error reply")));
     Alcotest.test_case "a too-deep line is a parse error and serving goes on"
       `Quick (fun () ->
          with_daemon base_config (fun d ->
-             let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-             Fun.protect
-               ~finally:(fun () ->
-                 try Unix.close fd with Unix.Unix_error _ -> ())
-               (fun () ->
-                  Unix.connect fd
-                    (Unix.ADDR_INET
-                       (Unix.inet_addr_loopback, Daemon.port d));
-                  let oc = Unix.out_channel_of_descr fd in
-                  let ic = Unix.in_channel_of_descr fd in
-                  (* Well-formed but 100,000 arrays deep: an uncapped
-                     parser accepts it (and then answers -32600, not a
-                     request) or, with a smaller stack, overflows. *)
-                  output_string oc
-                    (String.make 100_000 '[' ^ String.make 100_000 ']' ^ "\n");
-                  flush oc;
-                  (match Protocol.parse_incoming (input_line ic) with
-                   | Ok (Protocol.Reply { result = Error e; _ }) ->
-                     check_int "parse_error" Protocol.parse_error
-                       e.Protocol.code
-                   | _ -> Alcotest.fail "expected a parse-error reply");
-                  output_string oc
-                    (Protocol.request ~id:(Json.Num 1.) ~method_:"health"
-                       ~params:(Json.Obj [])
-                     ^ "\n");
-                  flush oc;
-                  match Protocol.parse_incoming (input_line ic) with
-                  | Ok (Protocol.Reply { result = Ok h; _ }) ->
-                    check_bool "health still answers" true
-                      (Json.member "status" h = Some (Json.Str "ok"))
-                  | _ -> Alcotest.fail "expected a health reply"))) ]
+             with_raw_conn d (fun ic oc ->
+                 (* Well-formed but 100,000 arrays deep: an uncapped
+                    parser accepts it (and then answers -32600, not a
+                    request) or, with a smaller stack, overflows. *)
+                 output_string oc
+                   (String.make 100_000 '[' ^ String.make 100_000 ']' ^ "\n");
+                 flush oc;
+                 (match Protocol.parse_incoming (input_line ic) with
+                  | Ok (Protocol.Reply { result = Error e; _ }) ->
+                    check_int "parse_error" Protocol.parse_error
+                      e.Protocol.code
+                  | _ -> Alcotest.fail "expected a parse-error reply");
+                 output_string oc (health_line ^ "\n");
+                 flush oc;
+                 check_health ic)));
+    Alcotest.test_case "an over-long line is refused, then the link closes"
+      `Quick (fun () ->
+         with_daemon base_config (fun d ->
+             let cap = Daemon.max_line_bytes in
+             let padded n =
+               health_line ^ String.make (n - String.length health_line) ' '
+             in
+             (* A request of exactly the cap is read whole. *)
+             with_raw_conn d (fun ic oc ->
+                 output_string oc (padded cap ^ "\n");
+                 flush oc;
+                 check_health ic);
+             with_raw_conn d (fun ic oc ->
+                 output_string oc (padded (cap + 1) ^ "\n");
+                 flush oc;
+                 (match Protocol.parse_incoming (input_line ic) with
+                  | Ok (Protocol.Reply { id; result = Error e }) ->
+                    check_bool "null id" true (id = Json.Null);
+                    check_int "invalid_request" Protocol.invalid_request
+                      e.Protocol.code;
+                    check_bool "the message names the cap" true
+                      (Fixtures.contains e.Protocol.message (string_of_int cap))
+                  | _ -> Alcotest.fail "expected an invalid-request reply");
+                 check_bool "then the connection closes" true
+                   (match input_line ic with
+                    | _ -> false
+                    | exception End_of_file -> true));
+             with_raw_conn d (fun ic oc ->
+                 output_string oc (health_line ^ "\n");
+                 flush oc;
+                 check_health ic))) ]
 
 (* ---- Admission control and lifecycle ------------------------------ *)
 
