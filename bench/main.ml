@@ -777,14 +777,22 @@ let serve_roundtrips () =
     (1e3 *. Obs.Metrics.percentile lat 0.99)
     rounds (int_of_float hits)
 
+(* Minor words of one plain quad, 6-app quick solve (mean over seeds
+   7-10), recorded on OCaml 5.1.1 once uncontended recovery scenarios
+   were summed instead of simulated and window trials re-sized only
+   their app's devices (47.98 Mw before). *)
+let plain_words_per_solve = 31.18e6
+
 (* Plain against metered solves of one problem shape, interleaved on one
    domain: what leaving metrics on costs, as [dstool serve] always does.
    Allocation and registry locking are deterministic, so they are gated
-   fatally: metered minor words may exceed plain by at most 2%, and once
-   a warm-up has created every instrument, the measured metered solves
-   must not take the registry lock at all. The wall ratio is only
-   reported (median and quartiles of the per-pair ratios): pairs on a
-   shared VM spread by about +-0.05. *)
+   fatally: plain solves may allocate at most 1.10x
+   [plain_words_per_solve] minor words each, metered minor words may
+   exceed plain by at most 2%, and once a warm-up has created every
+   instrument, the measured metered solves must not take the registry
+   lock at all. The wall ratio is only reported (median and quartiles
+   of the per-pair ratios): pairs on a shared VM spread by about
+   +-0.05. *)
 let instrument_overhead () =
   section "Instrument overhead (quad, 6 apps, quick)";
   let module R = E.Request in
@@ -841,6 +849,8 @@ let instrument_overhead () =
   let plain_words = sum (fun ((_, w), _) -> w) in
   let metered_words = sum (fun (_, (_, w)) -> w) in
   let words_ratio = metered_words /. plain_words in
+  let plain_per_solve = plain_words /. float_of_int (List.length pairs) in
+  let plain_limit = 1.10 *. plain_words_per_solve in
   let ratios =
     List.map (fun ((p, _), (m, _)) -> m /. p) pairs
     |> List.sort Float.compare |> Array.of_list
@@ -853,21 +863,32 @@ let instrument_overhead () =
   Format.fprintf fmt
     "%d pairs over seeds %s: metered/plain wall ratio median %.3f \
      (quartiles %.3f-%.3f, not gated); minor words %.1f -> %.1f Mw \
-     (%.4fx, gate 1.02x); registry locks in the warm metered solves: %d \
-     (gate 0)@."
+     (%.4fx, gate 1.02x); plain minor words per solve %.2f Mw (gate \
+     %.2f Mw); registry locks in the warm metered solves: %d (gate 0)@."
     (List.length pairs)
     (String.concat "," (List.map string_of_int seeds))
     median q1 q3 (plain_words /. 1e6) (metered_words /. 1e6) words_ratio
-    warm_locks;
+    (plain_per_solve /. 1e6) (plain_limit /. 1e6) warm_locks;
   overhead_json :=
     Some
       (Printf.sprintf
          "{\"pairs\":%d,\"wall_ratio_median\":%.4f,\"wall_ratio_q1\":%.4f,\
           \"wall_ratio_q3\":%.4f,\"plain_minor_words\":%.0f,\
           \"metered_minor_words\":%.0f,\"minor_words_ratio\":%.5f,\
+          \"plain_minor_words_per_solve\":%.0f,\
+          \"plain_minor_words_limit\":%.0f,\
           \"warm_registry_locks\":%d}"
          (List.length pairs) median q1 q3 plain_words metered_words
-         words_ratio warm_locks);
+         words_ratio plain_per_solve plain_limit warm_locks);
+  if plain_per_solve > plain_limit then begin
+    prerr_endline
+      (Printf.sprintf
+         "FATAL: plain solves allocated %.2f Mw each (limit %.2f Mw, 1.10x \
+          the recorded %.2f Mw)"
+         (plain_per_solve /. 1e6) (plain_limit /. 1e6)
+         (plain_words_per_solve /. 1e6));
+    exit 1
+  end;
   if words_ratio > 1.02 then begin
     prerr_endline
       (Printf.sprintf

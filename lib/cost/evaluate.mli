@@ -50,8 +50,9 @@ val design :
 type move =
   | Windows of Ds_workload.App.id
       (** New backup windows for this app, re-provisioned at
-          {!Provision.minimum}: the base must be a minimum provisioning
-          of a design that differs only in this app's backup chain. *)
+          {!Provision.minimum} (which {!Provision.rewindow} computes
+          from the base): the base must be a minimum provisioning of a
+          design that differs only in this app's backup chain. *)
   | Growth of Provision.growth
       (** {!Provision.grow} applied to the base's provisioning. *)
 

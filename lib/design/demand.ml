@@ -20,19 +20,21 @@ type t = {
 let zero_array = { capacity = Size.zero; bandwidth = Rate.zero }
 let zero_tape = { tape_capacity = Size.zero; tape_bandwidth = Rate.zero }
 
+let sum_array prev use =
+  { capacity = Size.add prev.capacity use.capacity;
+    bandwidth = Rate.add prev.bandwidth use.bandwidth }
+
+let sum_tape prev use =
+  { tape_capacity = Size.add prev.tape_capacity use.tape_capacity;
+    tape_bandwidth = Rate.add prev.tape_bandwidth use.tape_bandwidth }
+
 let add_array m slot use =
   let prev = Option.value ~default:zero_array (Slot.Array_slot.Map.find_opt slot m) in
-  Slot.Array_slot.Map.add slot
-    { capacity = Size.add prev.capacity use.capacity;
-      bandwidth = Rate.add prev.bandwidth use.bandwidth }
-    m
+  Slot.Array_slot.Map.add slot (sum_array prev use) m
 
 let add_tape m slot use =
   let prev = Option.value ~default:zero_tape (Slot.Tape_slot.Map.find_opt slot m) in
-  Slot.Tape_slot.Map.add slot
-    { tape_capacity = Size.add prev.tape_capacity use.tape_capacity;
-      tape_bandwidth = Rate.add prev.tape_bandwidth use.tape_bandwidth }
-    m
+  Slot.Tape_slot.Map.add slot (sum_tape prev use) m
 
 let add_link m pair rate =
   let prev = Option.value ~default:Rate.zero (Slot.Pair.Map.find_opt pair m) in
@@ -71,9 +73,15 @@ let backup_link_rate (asg : Assignment.t) =
   | None -> Rate.zero
   | Some chain -> Backup.tape_bandwidth_demand chain asg.app
 
+let mirror_rate (asg : Assignment.t) =
+  match asg.technique.Technique.mirror with
+  | Some m -> Mirror.network_demand m asg.app
+  | None -> Rate.zero
+
 (* Runs once per candidate provisioning — the maps are functional (the
    result is shared and long-lived) but the running components live in
-   local refs, not per-step record copies. *)
+   local refs, not per-step record copies. The per-device folds below
+   ([array_use_in] and friends) add the same terms in the same order. *)
 let of_assignments _design assignments =
   let arrays = ref Slot.Array_slot.Map.empty in
   let tapes = ref Slot.Tape_slot.Map.empty in
@@ -87,13 +95,7 @@ let of_assignments _design assignments =
         | Some slot ->
           arrays := add_array !arrays slot (mirror_contribution asg);
           (match Assignment.mirror_pair asg with
-           | Some pair ->
-             let rate =
-               match asg.technique.Technique.mirror with
-               | Some m -> Mirror.network_demand m asg.app
-               | None -> Rate.zero
-             in
-             links := add_link !links pair rate
+           | Some pair -> links := add_link !links pair (mirror_rate asg)
            | None -> ()));
        (match asg.backup with
         | None -> ()
@@ -111,15 +113,51 @@ let of_assignments _design assignments =
     assignments;
   { arrays = !arrays; tapes = !tapes; links = !links; compute = !compute }
 
+(* One device's entry of [of_assignments], folded alone over the same
+   assignments: each assignment's terms for that device, added to the
+   running sum in the order [of_assignments] adds them, from zero. *)
+let array_use_in assignments slot =
+  List.fold_left
+    (fun use (asg : Assignment.t) ->
+       let use =
+         if Slot.Array_slot.equal asg.primary slot then
+           sum_array use (primary_contribution asg)
+         else use
+       in
+       match asg.mirror with
+       | Some m when Slot.Array_slot.equal m slot ->
+         sum_array use (mirror_contribution asg)
+       | _ -> use)
+    zero_array assignments
+
+let tape_use_in assignments slot =
+  List.fold_left
+    (fun use (asg : Assignment.t) ->
+       match asg.backup with
+       | Some b when Slot.Tape_slot.equal b slot ->
+         sum_tape use (tape_contribution asg)
+       | _ -> use)
+    zero_tape assignments
+
+let link_use_in assignments pair =
+  List.fold_left
+    (fun rate (asg : Assignment.t) ->
+       let rate =
+         match asg.mirror, Assignment.mirror_pair asg with
+         | Some _, Some p when Slot.Pair.equal p pair ->
+           Rate.add rate (mirror_rate asg)
+         | _ -> rate
+       in
+       match asg.backup, Assignment.backup_pair asg with
+       | Some _, Some p when Slot.Pair.equal p pair ->
+         Rate.add rate (backup_link_rate asg)
+       | _ -> rate)
+    Rate.zero assignments
+
 (* Per-assignment bandwidth shares, for computing recovery-time residual
    load as [total demand - affected shares] instead of re-folding the
    unaffected assignments into fresh maps on every scenario. Each share
-   mirrors exactly one bandwidth term of {!fold_assignment}. *)
-
-let mirror_rate (asg : Assignment.t) =
-  match asg.technique.Technique.mirror with
-  | Some m -> Mirror.network_demand m asg.app
-  | None -> Rate.zero
+   mirrors exactly one bandwidth term of [of_assignments]. *)
 
 let array_bw_share (asg : Assignment.t) slot =
   let primary =

@@ -45,6 +45,44 @@ let pp_infeasibility ppf = function
    — no [Ok]-wrapped intermediate accumulators. *)
 exception Infeasible of infeasibility
 
+(* Per-device sizing, shared by [minimum] and [rewindow]: the fewest
+   units meeting the device's demand, or the constraint it breaks. *)
+let array_units design slot (use : Demand.array_use) =
+  match Design.array_model design slot with
+  | None ->
+    raise_notrace
+      (Infeasible (Missing_model (Format.asprintf "%a" Slot.Array_slot.pp slot)))
+  | Some model ->
+    if Rate.(model.Array_model.max_bw < use.Demand.bandwidth) then
+      raise_notrace (Infeasible (Array_bandwidth slot));
+    let n_cap = Array_model.units_for_capacity model use.Demand.capacity in
+    let n_bw = Array_model.units_for_bw model use.Demand.bandwidth in
+    let units = max n_cap n_bw in
+    if units > model.Array_model.max_units then
+      raise_notrace (Infeasible (Array_capacity slot));
+    units
+
+(* Drives (at least one) and cartridges. *)
+let tape_units design slot (use : Demand.tape_use) =
+  match Design.tape_model design slot with
+  | None ->
+    raise_notrace
+      (Infeasible (Missing_model (Format.asprintf "%a" Slot.Tape_slot.pp slot)))
+  | Some model ->
+    let drives = Tape_model.drives_for_bw model use.Demand.tape_bandwidth in
+    if drives > model.Tape_model.max_drives then
+      raise_notrace (Infeasible (Tape_bandwidth slot));
+    let carts = Tape_model.cartridges_for_capacity model use.Demand.tape_capacity in
+    if carts > model.Tape_model.max_cartridges then
+      raise_notrace (Infeasible (Tape_capacity slot));
+    (max 1 drives, carts)
+
+let link_units env pair rate =
+  let units = max 1 (Link_model.units_for_bw env.Env.link_model rate) in
+  if units > env.Env.max_link_units then
+    raise_notrace (Infeasible (Link_bandwidth pair));
+  units
+
 let minimum design =
   let env = design.Design.env in
   let demand = Demand.of_design design in
@@ -52,57 +90,25 @@ let minimum design =
     let array_units =
       List.fold_left
         (fun acc slot ->
-           match Design.array_model design slot with
-           | None ->
-             raise_notrace
-               (Infeasible
-                  (Missing_model (Format.asprintf "%a" Slot.Array_slot.pp slot)))
-           | Some model ->
-             let use = Demand.array_use demand slot in
-             if Rate.(model.Array_model.max_bw < use.Demand.bandwidth) then
-               raise_notrace (Infeasible (Array_bandwidth slot));
-             let n_cap = Array_model.units_for_capacity model use.Demand.capacity in
-             let n_bw = Array_model.units_for_bw model use.Demand.bandwidth in
-             let units = max n_cap n_bw in
-             if units > model.Array_model.max_units then
-               raise_notrace (Infeasible (Array_capacity slot));
-             Slot.Array_slot.Map.add slot units acc)
+           Slot.Array_slot.Map.add slot
+             (array_units design slot (Demand.array_use demand slot)) acc)
         Slot.Array_slot.Map.empty
         (Design.used_array_slots design)
     in
     let tape_drives, tape_cartridges =
       List.fold_left
         (fun (drives_map, carts_map) slot ->
-           match Design.tape_model design slot with
-           | None ->
-             raise_notrace
-               (Infeasible
-                  (Missing_model (Format.asprintf "%a" Slot.Tape_slot.pp slot)))
-           | Some model ->
-             let use = Demand.tape_use demand slot in
-             let drives = Tape_model.drives_for_bw model use.Demand.tape_bandwidth in
-             if drives > model.Tape_model.max_drives then
-               raise_notrace (Infeasible (Tape_bandwidth slot));
-             let carts =
-               Tape_model.cartridges_for_capacity model use.Demand.tape_capacity
-             in
-             if carts > model.Tape_model.max_cartridges then
-               raise_notrace (Infeasible (Tape_capacity slot));
-             (Slot.Tape_slot.Map.add slot (max 1 drives) drives_map,
-              Slot.Tape_slot.Map.add slot carts carts_map))
+           let drives, carts = tape_units design slot (Demand.tape_use demand slot) in
+           (Slot.Tape_slot.Map.add slot drives drives_map,
+            Slot.Tape_slot.Map.add slot carts carts_map))
         (Slot.Tape_slot.Map.empty, Slot.Tape_slot.Map.empty)
         (Design.used_tape_slots design)
     in
     let link_units =
       List.fold_left
         (fun acc pair ->
-           let model = env.Env.link_model in
-           let rate = Demand.link_use demand pair in
-           let units = Link_model.units_for_bw model rate in
-           let units = max 1 units in
-           if units > env.Env.max_link_units then
-             raise_notrace (Infeasible (Link_bandwidth pair));
-           Slot.Pair.Map.add pair units acc)
+           Slot.Pair.Map.add pair (link_units env pair (Demand.link_use demand pair))
+             acc)
         Slot.Pair.Map.empty
         (Design.used_pairs design)
     in
@@ -119,6 +125,51 @@ let minimum design =
     Ok { design; demand; array_units; tape_drives; tape_cartridges;
          link_units; compute }
   with Infeasible why -> Error why
+
+(* A new backup chain for one app moves only three terms of the demand:
+   snapshot space on its primary array, its library's capacity and drive
+   bandwidth, and its backup traffic on a remote library's link (compute
+   and every other device keep theirs, hence their units). Those devices
+   are re-summed and re-sized in [minimum]'s order — arrays, then
+   libraries, then links — so an infeasible trial breaks the constraint
+   [minimum] reports first. *)
+let rewindow base design id =
+  match Design.find design id with
+  | None -> invalid_arg "Provision.rewindow: app not assigned"
+  | Some asg ->
+    let assignments = Design.assignments design in
+    let demand = base.demand in
+    (try
+       let primary = asg.Assignment.primary in
+       let use = Demand.array_use_in assignments primary in
+       let array_units =
+         Slot.Array_slot.Map.add primary (array_units design primary use)
+           base.array_units
+       in
+       let arrays = Slot.Array_slot.Map.add primary use demand.Demand.arrays in
+       let tapes, tape_drives, tape_cartridges =
+         match asg.Assignment.backup with
+         | None -> (demand.Demand.tapes, base.tape_drives, base.tape_cartridges)
+         | Some slot ->
+           let use = Demand.tape_use_in assignments slot in
+           let drives, carts = tape_units design slot use in
+           (Slot.Tape_slot.Map.add slot use demand.Demand.tapes,
+            Slot.Tape_slot.Map.add slot drives base.tape_drives,
+            Slot.Tape_slot.Map.add slot carts base.tape_cartridges)
+       in
+       let links, link_units =
+         match Assignment.backup_pair asg with
+         | None -> (demand.Demand.links, base.link_units)
+         | Some pair ->
+           let rate = Demand.link_use_in assignments pair in
+           (Slot.Pair.Map.add pair rate demand.Demand.links,
+            Slot.Pair.Map.add pair (link_units design.Design.env pair rate)
+              base.link_units)
+       in
+       Ok { design; demand = { demand with Demand.arrays; tapes; links };
+            array_units; tape_drives; tape_cartridges; link_units;
+            compute = base.compute }
+     with Infeasible why -> Error why)
 
 let array_bw t slot =
   match Design.array_model t.design slot,

@@ -3,7 +3,8 @@
     The configuration solver starts from {!minimum} — the least
     provisioning that satisfies normal-operation demand — and then adds
     units ({!grow}) wherever that lowers overall cost by shortening
-    recovery (Section 3.2.2). *)
+    recovery (Section 3.2.2). Its window trials, which change one app's
+    backup chain, re-size just that app's devices ({!rewindow}). *)
 
 module Size = Ds_units.Size
 module Rate = Ds_units.Rate
@@ -34,6 +35,15 @@ val pp_infeasibility : Format.formatter -> infeasibility -> unit
 val minimum : Design.t -> (t, infeasibility) result
 (** Smallest provisioning meeting the design's normal-operation demand, or
     the first constraint that cannot be met. *)
+
+val rewindow : t -> Design.t -> Ds_workload.App.id -> (t, infeasibility) result
+(** [rewindow base design id] is [minimum design], bit for bit, when
+    [base] is [minimum] of a design that [design] differs from only in
+    app [id]'s backup chain (a configuration-solver window trial). Only
+    that app's primary array, backup library and backup link are
+    re-summed ({!Demand.array_use_in} and friends) and re-sized, with
+    the per-device sizing [minimum] uses; every other entry is [base]'s.
+    @raise Invalid_argument if [design] does not assign [id]. *)
 
 val array_bw : t -> Slot.Array_slot.t -> Rate.t
 (** Deliverable bandwidth of the slot as provisioned (zero if unused). *)

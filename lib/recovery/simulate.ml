@@ -19,23 +19,28 @@ let tape_propagation prov (asg : Assignment.t) =
   | Some tape_slot ->
     Rate.transfer_time asg.app.App.data_size (Provision.tape_bw prov tape_slot)
 
-(* A device a recovery can hold, as the key of the gauge cache below. *)
+(* A device a recovery can hold: the key of the gauge caches below, and
+   the device name [Engine.schedule] compares plans by. *)
 type device =
   | Array_dev of Slot.Array_slot.t
   | Tape_dev of Slot.Tape_slot.t
   | Link_dev of Slot.Pair.t
 
+let device_rank = function Array_dev _ -> 0 | Tape_dev _ -> 1 | Link_dev _ -> 2
+
+let compare_device a b =
+  match a, b with
+  | Array_dev a, Array_dev b -> Slot.Array_slot.compare a b
+  | Tape_dev a, Tape_dev b -> Slot.Tape_slot.compare a b
+  | Link_dev a, Link_dev b -> Slot.Pair.compare a b
+  | _ -> Int.compare (device_rank a) (device_rank b)
+
+let device_equal a b = compare_device a b = 0
+
 module Device_map = Map.Make (struct
     type t = device
 
-    let rank = function Array_dev _ -> 0 | Tape_dev _ -> 1 | Link_dev _ -> 2
-
-    let compare a b =
-      match a, b with
-      | Array_dev a, Array_dev b -> Slot.Array_slot.compare a b
-      | Tape_dev a, Tape_dev b -> Slot.Tape_slot.compare a b
-      | Link_dev a, Link_dev b -> Slot.Pair.compare a b
-      | _ -> Int.compare (rank a) (rank b)
+    let compare = compare_device
   end)
 
 let device_name = function
@@ -74,15 +79,16 @@ let cached_gauges obs reg device =
     gauges
 
 (* A [batch] carries every instrument resolvable once per simulation
-   batch: the engine meters, the recovery counters, and — keyed by slot —
-   the device gauges, with the cells that hold what the batch's engines
-   measure until [publish]. The configuration solver shares one batch
-   across every trial evaluation of a solve (the slots are stable there),
-   so the gauge cache is probed a handful of times per thousands of
-   scenarios. The slot lists are atomics: when parallel trial workers
-   share a batch, a racing insert can at worst drop a peer's entry and
-   resolve the device again. A dropped entry is still published: every
-   entry ever handed out is also kept in [made], which [publish] walks. *)
+   batch: the engine meters, the recovery counters, and — keyed by
+   device — the device gauges, with the cells that hold what the batch's
+   runs measure until [publish]. The configuration solver shares one
+   batch across every trial evaluation of a solve (the slots are stable
+   there), so the gauge cache is probed a handful of times per thousands
+   of scenarios. The device map is an atomic: when parallel trial
+   workers share a batch, a racing insert can at worst drop a peer's
+   entry and resolve the device again. A dropped entry is still
+   published: every entry ever handed out is also kept in [made], which
+   [publish] walks. *)
 type batch = {
   b_obs : Obs.t;  (* instrument resolution only; spans use the call-site obs *)
   meters : Engine.meters;
@@ -93,9 +99,7 @@ type batch = {
   (* Owned by the cost layer (Evaluate), carried here so the per-trial
      evaluation counter rides the same pre-resolved instrument cache. *)
   evaluations_c : Metrics.counter option;
-  array_ids : (Slot.Array_slot.t * Engine.device_gauges) list Atomic.t;
-  tape_ids : (Slot.Tape_slot.t * Engine.device_gauges) list Atomic.t;
-  link_ids : (Slot.Pair.t * Engine.device_gauges) list Atomic.t;
+  ids : Engine.device_gauges Device_map.t Atomic.t;
   made : Engine.device_gauges list Atomic.t;
 }
 
@@ -113,9 +117,7 @@ let batch obs =
     unrecoverable_c = Obs.instrument obs unrecoverable_h;
     reused_c = Obs.instrument obs reused_h;
     evaluations_c = Obs.instrument obs evaluations_h;
-    array_ids = Atomic.make [];
-    tape_ids = Atomic.make [];
-    link_ids = Atomic.make [];
+    ids = Atomic.make Device_map.empty;
     made = Atomic.make [] }
 
 let publish b =
@@ -127,72 +129,24 @@ let rec remember b gauges =
   if not (Atomic.compare_and_set b.made made (gauges :: made)) then
     remember b gauges
 
-let rec assoc_gauges equal key = function
-  | [] -> raise_notrace Not_found
-  | (k, gauges) :: rest -> if equal k key then gauges else assoc_gauges equal key rest
-
 (* The batch's gauges for a device: looked up among the devices it has
-   resolved, else taken from the cache with cells of the batch's own. *)
-let batch_gauges b ids equal key device =
-  let known = Atomic.get ids in
-  match assoc_gauges equal key known with
+   resolved, else taken from the cache with cells of the batch's own.
+   [Engine.schedule] asks only when metering. *)
+let batch_gauges b device =
+  let known = Atomic.get b.ids in
+  match Device_map.find device known with
   | gauges -> gauges
   | exception Not_found ->
     let gauges =
       match Obs.metrics b.b_obs with
       | None -> Engine.no_gauges
       | Some reg ->
-        let gauges =
-          Engine.held_gauges (cached_gauges b.b_obs reg (device key))
-        in
+        let gauges = Engine.held_gauges (cached_gauges b.b_obs reg device) in
         remember b gauges;
         gauges
     in
-    Atomic.set ids ((key, gauges) :: known);
+    Atomic.set b.ids (Device_map.add device gauges known);
     gauges
-
-(* Exclusive-device handles, one per physical device touched by recovery.
-   Resources are per-engine (hence per-scenario); their gauges come from
-   the batch. *)
-type devices = {
-  engine : Engine.t;
-  mutable arrays : (Slot.Array_slot.t * Engine.resource) list;
-  mutable tapes : (Slot.Tape_slot.t * Engine.resource) list;
-  mutable links : (Slot.Pair.t * Engine.resource) list;
-}
-
-let array_device b d slot =
-  match List.find_opt (fun (s, _) -> Slot.Array_slot.equal s slot) d.arrays with
-  | Some (_, r) -> r
-  | None ->
-    let gauges =
-      batch_gauges b b.array_ids Slot.Array_slot.equal slot (fun s -> Array_dev s)
-    in
-    let r = Engine.resource_with d.engine ~gauges "" in
-    d.arrays <- (slot, r) :: d.arrays;
-    r
-
-let tape_device b d slot =
-  match List.find_opt (fun (s, _) -> Slot.Tape_slot.equal s slot) d.tapes with
-  | Some (_, r) -> r
-  | None ->
-    let gauges =
-      batch_gauges b b.tape_ids Slot.Tape_slot.equal slot (fun s -> Tape_dev s)
-    in
-    let r = Engine.resource_with d.engine ~gauges "" in
-    d.tapes <- (slot, r) :: d.tapes;
-    r
-
-let link_device b d pair =
-  match List.find_opt (fun (p, _) -> Slot.Pair.equal p pair) d.links with
-  | Some (_, r) -> r
-  | None ->
-    let gauges =
-      batch_gauges b b.link_ids Slot.Pair.equal pair (fun p -> Link_dev p)
-    in
-    let r = Engine.resource_with d.engine ~gauges "" in
-    d.links <- (pair, r) :: d.links;
-    r
 
 let incr_opt = function Some c -> Metrics.incr c | None -> ()
 let add_opt c n = match c with Some c -> Metrics.add c n | None -> ()
@@ -266,6 +220,105 @@ let avail_link prov affected pair =
     (Rate.sub (Demand.link_use total pair)
        (freed_link_bw affected pair Rate.zero))
 
+(* One affected app's recovery as data: how it recovers, the data it
+   loses, and the job [Engine.schedule] times — its priority, its stage
+   durations in order, and the devices its restore holds. *)
+type plan = {
+  asg : Assignment.t;
+  mode : Outcome.mode;
+  loss : Time.t;
+  job : device Engine.plan;
+}
+
+let plan_of ~params prov affected scope repair_delay (asg : Assignment.t) =
+  let best =
+    Copy_source.best_surviving ~params
+      ~tape_propagation:(tape_propagation prov asg) asg scope
+  in
+  let detection = Engine.Delay params.Recovery_params.detection in
+  let mode, loss, stages =
+    match best with
+    | None ->
+      (Outcome.Unrecoverable, params.Recovery_params.loss_horizon,
+       [ detection; Engine.Delay repair_delay;
+         Engine.Delay params.Recovery_params.manual_rebuild ])
+    | Some copy ->
+      let loss = copy.Copy_source.staleness in
+      let restored = Outcome.Restored copy.Copy_source.kind in
+      (match copy.Copy_source.kind with
+       | Copy_source.Mirror when Technique.needs_standby_compute asg.technique ->
+         (Outcome.Failed_over, loss,
+          [ detection; Engine.Delay params.Recovery_params.failover ])
+       | Copy_source.Mirror ->
+         let mirror_slot = Option.get asg.mirror in
+         (match scope with
+          | Scenario.Site_disaster _ ->
+            (* Reconstruction at the secondary site: procure and
+               reconfigure compute there, promote the mirror to primary.
+               No bulk copy — the data is already on the surviving array.
+               Fail-back runs in the background once the site is rebuilt. *)
+            (restored, loss,
+             [ detection; Engine.Delay params.Recovery_params.site_reconfig;
+               Engine.Hold ([ Array_dev mirror_slot ],
+                            params.Recovery_params.mirror_promote) ])
+          | Scenario.Data_object _ | Scenario.Array_failure _ ->
+            (* Repair the array, then copy the dataset back over the
+               inter-site link. *)
+            let pair = Option.get (Assignment.mirror_pair asg) in
+            let bw =
+              Rate.min (avail_array prov affected mirror_slot)
+                (Rate.min (avail_link prov affected pair)
+                   (avail_array prov affected asg.primary))
+            in
+            let duration = Rate.transfer_time asg.app.App.data_size bw in
+            (restored, loss,
+             [ detection; Engine.Delay repair_delay;
+               Engine.Hold
+                 ([ Array_dev mirror_slot; Link_dev pair; Array_dev asg.primary ],
+                  duration) ]))
+       | Copy_source.Snapshot ->
+         let bw = avail_array prov affected asg.primary in
+         let duration = Rate.transfer_time asg.app.App.data_size bw in
+         (restored, loss,
+          [ detection; Engine.Delay repair_delay;
+            Engine.Hold ([ Array_dev asg.primary ], duration) ])
+       | Copy_source.Tape | Copy_source.Vault ->
+         let tape_slot = Option.get asg.backup in
+         let link = Assignment.backup_pair asg in
+         let bw =
+           let base =
+             Rate.min (avail_tape prov affected tape_slot)
+               (avail_array prov affected asg.primary)
+           in
+           match link with
+           | Some pair -> Rate.min base (avail_link prov affected pair)
+           | None -> base
+         in
+         (* Incremental schedules replay the full plus half a cycle of
+            incrementals on average. *)
+         let volume =
+           match asg.technique.Technique.backup with
+           | Some chain -> Ds_protection.Backup.restore_volume chain asg.app
+           | None -> asg.app.App.data_size
+         in
+         let duration = Rate.transfer_time volume bw in
+         let held =
+           Tape_dev tape_slot :: Array_dev asg.primary
+           :: (match link with Some pair -> [ Link_dev pair ] | None -> [])
+         in
+         let restore = [ Engine.Hold (held, duration) ] in
+         (restored, loss,
+          detection :: Engine.Delay repair_delay
+          :: (match copy.Copy_source.kind with
+              | Copy_source.Vault ->
+                Engine.Delay params.Recovery_params.vault_fetch :: restore
+              | _ -> restore)))
+  in
+  let priority = Ds_units.Money.to_dollars (App.penalty_rate_sum asg.app) in
+  { asg; mode; loss; job = { Engine.priority; stages } }
+
+let plan_job p = p.job
+
 let scenario_in ~params ~obs b prov (scen : Scenario.t) =
   let design = prov.Provision.design in
   let scope = scen.Scenario.scope in
@@ -274,140 +327,27 @@ let scenario_in ~params ~obs b prov (scen : Scenario.t) =
   else Obs.with_span obs "recovery.scenario" @@ fun () -> begin
     incr_opt b.scenarios_c;
     add_opt b.affected_c (List.length affected);
-    let devices =
-      { engine =
-          Engine.create_with ~policy:params.Recovery_params.scheduling ~obs
-            ~meters:b.meters ();
-        arrays = []; tapes = []; links = [] }
-    in
     let repair_delay =
       match scope with
       | Scenario.Data_object _ -> Time.zero
       | Scenario.Array_failure _ -> params.Recovery_params.array_repair
       | Scenario.Site_disaster _ -> params.Recovery_params.site_rebuild
     in
-    (* Decide each app's recovery plan and submit its job immediately —
-       all jobs land before the single [Engine.run], so competing restores
-       still contend in the shared engine. *)
-    let jobs =
-      List.map
-        (fun (asg : Assignment.t) ->
-           let best =
-             Copy_source.best_surviving ~params
-               ~tape_propagation:(tape_propagation prov asg) asg scope
-           in
-           let detection = Engine.Delay params.Recovery_params.detection in
-           let plan =
-             match best with
-             | None ->
-               let stages =
-                 [ detection; Engine.Delay repair_delay;
-                   Engine.Delay params.Recovery_params.manual_rebuild ]
-               in
-               (asg, Outcome.Unrecoverable, params.Recovery_params.loss_horizon,
-                stages)
-             | Some copy ->
-               let loss = copy.Copy_source.staleness in
-               (match copy.Copy_source.kind with
-                | Copy_source.Mirror
-                  when Technique.needs_standby_compute asg.technique ->
-                  (asg, Outcome.Failed_over, loss,
-                   [ detection; Engine.Delay params.Recovery_params.failover ])
-                | Copy_source.Mirror ->
-                  let mirror_slot = Option.get asg.mirror in
-                  (match scope with
-                   | Scenario.Site_disaster _ ->
-                     (* Reconstruction at the secondary site: procure and
-                        reconfigure compute there, promote the mirror to
-                        primary. No bulk copy — the data is already on the
-                        surviving array. Fail-back runs in the background
-                        once the site is rebuilt. *)
-                     (asg, Outcome.Restored copy.Copy_source.kind, loss,
-                      [ detection;
-                        Engine.Delay params.Recovery_params.site_reconfig;
-                        Engine.Hold ([ array_device b devices mirror_slot ],
-                                     params.Recovery_params.mirror_promote) ])
-                   | Scenario.Data_object _ | Scenario.Array_failure _ ->
-                     (* Repair the array, then copy the dataset back over
-                        the inter-site link. *)
-                     let pair = Option.get (Assignment.mirror_pair asg) in
-                     let bw =
-                       Rate.min (avail_array prov affected mirror_slot)
-                         (Rate.min (avail_link prov affected pair)
-                            (avail_array prov affected asg.primary))
-                     in
-                     let duration = Rate.transfer_time asg.app.App.data_size bw in
-                     let held =
-                       [ array_device b devices mirror_slot;
-                         link_device b devices pair;
-                         array_device b devices asg.primary ]
-                     in
-                     (asg, Outcome.Restored copy.Copy_source.kind, loss,
-                      [ detection; Engine.Delay repair_delay;
-                        Engine.Hold (held, duration) ]))
-                | Copy_source.Snapshot ->
-                  let bw = avail_array prov affected asg.primary in
-                  let duration = Rate.transfer_time asg.app.App.data_size bw in
-                  (asg, Outcome.Restored copy.Copy_source.kind, loss,
-                   [ detection; Engine.Delay repair_delay;
-                     Engine.Hold ([ array_device b devices asg.primary ], duration) ])
-                | Copy_source.Tape | Copy_source.Vault ->
-                  let tape_slot = Option.get asg.backup in
-                  let link = Assignment.backup_pair asg in
-                  let bw =
-                    let base =
-                      Rate.min (avail_tape prov affected tape_slot)
-                        (avail_array prov affected asg.primary)
-                    in
-                    match link with
-                    | Some pair -> Rate.min base (avail_link prov affected pair)
-                    | None -> base
-                  in
-                  (* Incremental schedules replay the full plus half a
-                     cycle of incrementals on average. *)
-                  let volume =
-                    match asg.technique.Technique.backup with
-                    | Some chain ->
-                      Ds_protection.Backup.restore_volume chain asg.app
-                    | None -> asg.app.App.data_size
-                  in
-                  let duration = Rate.transfer_time volume bw in
-                  let held =
-                    (tape_device b devices tape_slot
-                     :: array_device b devices asg.primary
-                     :: (match link with
-                         | Some pair -> [ link_device b devices pair ]
-                         | None -> []))
-                  in
-                  let fetch =
-                    match copy.Copy_source.kind with
-                    | Copy_source.Vault ->
-                      [ Engine.Delay params.Recovery_params.vault_fetch ]
-                    | _ -> []
-                  in
-                  (asg, Outcome.Restored copy.Copy_source.kind, loss,
-                   ([ detection; Engine.Delay repair_delay ]
-                    @ fetch @ [ Engine.Hold (held, duration) ])))
-           in
-           let asg, mode, loss, stages = plan in
-           let priority =
-             Ds_units.Money.to_dollars (App.penalty_rate_sum asg.Assignment.app)
-           in
-           let id = Engine.submit devices.engine ~priority stages in
-           (asg, mode, loss, id))
-        affected
+    (* Every plan is decided before any is timed: competing restores
+       contend in one schedule. *)
+    let plans = List.map (plan_of ~params prov affected scope repair_delay) affected in
+    let times =
+      Engine.schedule ~policy:params.Recovery_params.scheduling ~meters:b.meters
+        ~equal:device_equal ~gauges:(batch_gauges b) (List.map plan_job plans)
     in
-    Engine.run devices.engine;
-    List.map
-      (fun ((asg : Assignment.t), mode, loss, id) ->
-         (match mode with
+    List.map2
+      (fun p recovery_time ->
+         (match p.mode with
           | Outcome.Unrecoverable -> incr_opt b.unrecoverable_c
           | _ -> ());
-         { Outcome.app = asg.app;
-           mode;
-           recovery_time = Engine.completion_time devices.engine id;
-           loss_time = loss })
-      jobs
+         { Outcome.app = p.asg.app; mode = p.mode; recovery_time;
+           loss_time = p.loss })
+      plans times
   end
 
 let with_batch ?batch:b obs f =

@@ -7,7 +7,11 @@
     the {e leftover} bandwidth of each device is available to recovery.
     Competing recovery operations serialize on shared devices in priority
     order, where an application's priority is the sum of its penalty rates
-    — exactly the paper's scheduling assumption.
+    — exactly the paper's scheduling assumption. Each app's recovery is
+    planned as data and the plans are timed by {!Ds_sim.Engine.schedule}:
+    through the event loop when two restores hold one device, and as
+    plain sums of their stage durations otherwise — bit for bit what the
+    event loop would compute, since no restore can wait (DESIGN.md §17).
 
     Recovery paths, by surviving copy:
     - mirror + failover technique: restart at the mirror site
@@ -36,7 +40,7 @@ type batch
     recovery counters) shared across the simulations of a batch. A batch
     may serve any call whose [obs] carries the same registry (trace lanes
     may differ), and parallel workers may share it — see the
-    implementation note. Device time and queue waits that its engines
+    implementation note. Device time and queue waits that its scenarios
     record on the domain that made it are held in the batch, and reach
     the registry ([sim.busy_s.*], [sim.wait_s.*], [sim.queue_wait_s])
     when {!with_batch} ends. *)
@@ -56,11 +60,13 @@ val scenario :
   Scenario.t ->
   Outcome.t list
 (** Outcomes for every application affected by the scenario (empty when
-    none are). [obs] feeds the shared engine's device metrics plus
-    [recovery.scenarios] / [recovery.affected] / [recovery.unrecoverable]
-    counters and a [recovery.scenario] span; these count simulations
-    actually run. [batch] supplies the instruments pre-resolved; without
-    it each call resolves its own. *)
+    none are). [obs] feeds the schedule's [sim.*] metrics (counted as
+    the event loop counts them, summed scenarios included; [sim.contended]
+    counts the scenarios the event loop ran) plus [recovery.scenarios] /
+    [recovery.affected] / [recovery.unrecoverable] counters and a
+    [recovery.scenario] span; these count simulations actually run.
+    [batch] supplies the instruments pre-resolved; without it each call
+    resolves its own. *)
 
 val incr_evaluations : batch -> unit
 (** Bumps the [cost.evaluations] counter carried by the batch (no-op

@@ -64,27 +64,24 @@ type resource = {
   gauges : device_gauges;
 }
 
-(* Per-grant accounting: loops, not [List.iter] with a closure. *)
-let rec hold_all i s = function
-  | [] -> ()
-  | r :: rest ->
-    let cells = r.gauges.cells in
+(* One device's share of a grant: [i] seconds of busy (0) or wait (1)
+   time, held in its cells or published. *)
+let accrue mode i s dg =
+  match mode with
+  | Held ->
+    let cells = dg.cells in
     if Float.Array.length cells > 0 then
       Float.Array.unsafe_set cells i (Float.Array.unsafe_get cells i +. s)
-    else publish_one r.gauges i s;
-    hold_all i s rest
+    else publish_one dg i s
+  | Direct -> publish_one dg i s
+  | Off -> ()
 
-let rec publish_all i s = function
+(* Per-grant accounting: a loop, not [List.iter] with a closure. *)
+let rec accrue_all mode i s = function
   | [] -> ()
   | r :: rest ->
-    publish_one r.gauges i s;
-    publish_all i s rest
-
-let accrue_all mode i s resources =
-  match mode with
-  | Held -> hold_all i s resources
-  | Direct -> publish_all i s resources
-  | Off -> ()
+    accrue mode i s r.gauges;
+    accrue_all mode i s rest
 
 (* Engine-wide instruments, likewise resolvable once per batch, with the
    queue waits held for [m_home]'s domain. *)
@@ -92,6 +89,7 @@ type meters = {
   m_runs : Metrics.counter option;
   m_jobs : Metrics.counter option;
   m_events : Metrics.counter option;
+  m_contended : Metrics.counter option;
   m_queue_wait : Metrics.histogram option;
   m_home : unit ref;  (* the resolving domain's [domain_token] *)
   mutable m_waits : float list;  (* newest first *)
@@ -100,15 +98,30 @@ type meters = {
 let runs_h = Metrics.counter_handle "sim.runs"
 let jobs_h = Metrics.counter_handle "sim.jobs"
 let events_h = Metrics.counter_handle "sim.events"
+let contended_h = Metrics.counter_handle "sim.contended"
 let queue_wait_h = Metrics.histogram_handle "sim.queue_wait_s"
 
 let meters_at home obs =
   { m_runs = Obs.instrument obs runs_h;
     m_jobs = Obs.instrument obs jobs_h;
     m_events = Obs.instrument obs events_h;
+    m_contended = Obs.instrument obs contended_h;
     m_queue_wait = Obs.instrument obs queue_wait_h;
     m_home = home;
     m_waits = [] }
+
+(* The one rule for how a run meters: held when it runs on the domain
+   that resolved its meters, published directly anywhere else. *)
+let mode_of m =
+  match m.m_runs with
+  | None -> Off
+  | Some _ -> if Domain.DLS.get domain_token == m.m_home then Held else Direct
+
+(* A run's engine-wide counts: [jobs] jobs passing [events] stages. *)
+let count_run m ~jobs ~events =
+  (match m.m_runs with Some c -> Metrics.incr c | None -> ());
+  (match m.m_jobs with Some c -> Metrics.add c jobs | None -> ());
+  match m.m_events with Some c -> Metrics.add c events | None -> ()
 
 let no_meters = meters_at (ref ()) Obs.noop
 
@@ -131,9 +144,11 @@ let queue_wait mode m s =
      | Held -> m.m_waits <- s :: m.m_waits
      | Direct | Off -> Metrics.observe h s)
 
-type stage =
+type 'd stage_of =
   | Delay of Time.t
-  | Hold of resource list * Time.t
+  | Hold of 'd list * Time.t
+
+type stage = resource stage_of
 
 type state = Idle | Sleeping | Holding | Blocked | Done
 
@@ -238,15 +253,7 @@ let run t =
     t.ran <- true;
     (* Pre-resolved engine-wide instruments (see [meters] above). *)
     let m = t.meters in
-    let mode =
-      match m.m_runs with
-      | None -> Off
-      | Some _ -> if Domain.DLS.get domain_token == m.m_home then Held else Direct
-    in
-    (match m.m_runs with Some c -> Metrics.incr c | None -> ());
-    (match m.m_jobs with
-     | Some c -> Metrics.add c (List.length t.jobs)
-     | None -> ());
+    let mode = mode_of m in
     let total_work job =
       Array.fold_left
         (fun acc -> function
@@ -356,10 +363,12 @@ let run t =
       end
     done;
     (* Every event advanced one job by one stage, so the events are the
-       stages passed: the counter is touched once per run. *)
-    match m.m_events with
-    | Some c -> Metrics.add c (List.fold_left (fun n job -> n + job.idx) 0 order)
-    | None -> ()
+       stages passed: the counters are touched once per run. *)
+    match mode with
+    | Off -> ()
+    | Held | Direct ->
+      count_run m ~jobs:(List.length order)
+        ~events:(List.fold_left (fun n job -> n + job.idx) 0 order)
   end
 
 let find_job t jid = List.find (fun job -> job.jid = jid) t.jobs
@@ -372,3 +381,121 @@ let results t =
   run t;
   List.rev t.jobs
   |> List.map (fun job -> (job.jname, Time.seconds job.completion))
+
+(* ------------------------------------------------------------------ *)
+(* Jobs given as data                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type 'd plan = { priority : float; stages : 'd stage_of list }
+
+(* The clock of [run], for a job that never waits: [now] advances to
+   exactly the job's own wake time, where its next stage starts, so it
+   completes at the left fold of its durations from zero — the same
+   float additions in the same order. *)
+let summed_completion stages =
+  List.fold_left
+    (fun now -> function Delay d | Hold (_, d) -> now +. Time.to_seconds d)
+    0. stages
+
+let rec mem equal d = function
+  | [] -> false
+  | x :: rest -> equal d x || mem equal d rest
+
+(* Does one of [jobs] hold [d] in some stage? *)
+let rec held_by equal d = function
+  | [] -> false
+  | job :: jobs -> holds equal d job.stages || held_by equal d jobs
+
+and holds equal d = function
+  | [] -> false
+  | Delay _ :: stages -> holds equal d stages
+  | Hold (ds, _) :: stages -> mem equal d ds || holds equal d stages
+
+(* Is some device held by two of the jobs? Loops, not closures: this
+   runs once per recovery scenario. *)
+let rec contended equal = function
+  | [] -> false
+  | job :: others -> clashes equal others job.stages || contended equal others
+
+and clashes equal others = function
+  | [] -> false
+  | Delay _ :: stages -> clashes equal others stages
+  | Hold (ds, _) :: stages ->
+    any_held_by equal others ds || clashes equal others stages
+
+and any_held_by equal others = function
+  | [] -> false
+  | d :: ds -> held_by equal d others || any_held_by equal others ds
+
+(* Jobs [submit] would accept whose sums [run] reaches: a NaN priority
+   or duration, or a sum that is not finite, is left to the engine. *)
+let rec summable = function
+  | [] -> true
+  | job :: jobs ->
+    (not (Float.is_nan job.priority))
+    && Float.is_finite (summed_completion job.stages)
+    && summable jobs
+
+let rec stage_count n = function
+  | [] -> n
+  | job :: jobs -> stage_count (n + List.length job.stages) jobs
+
+(* What [run] records per grant when no job ever waits: each distinct
+   device of a hold is busy for its duration. *)
+let rec accrue_holds mode equal gauges = function
+  | [] -> ()
+  | Delay _ :: stages -> accrue_holds mode equal gauges stages
+  | Hold (ds, d) :: stages ->
+    accrue_distinct mode equal gauges (Time.to_seconds d) ds;
+    accrue_holds mode equal gauges stages
+
+and accrue_distinct mode equal gauges s = function
+  | [] -> ()
+  | d :: ds ->
+    if not (mem equal d ds) then accrue mode 0 s (gauges d);
+    accrue_distinct mode equal gauges s ds
+
+let rec accrue_jobs mode equal gauges = function
+  | [] -> ()
+  | job :: jobs ->
+    accrue_holds mode equal gauges job.stages;
+    accrue_jobs mode equal gauges jobs
+
+(* One engine, one resource per distinct device. *)
+let run_jobs ?policy m ~equal ~gauges jobs =
+  let t = create_with ?policy ~meters:m () in
+  let known = ref [] in
+  let resource_of d =
+    match List.find_opt (fun (d', _) -> equal d d') !known with
+    | Some (_, r) -> r
+    | None ->
+      let gauges = match m.m_runs with Some _ -> gauges d | None -> no_gauges in
+      let r = resource_with t ~gauges "" in
+      known := (d, r) :: !known;
+      r
+  in
+  let stage = function
+    | Delay d -> Delay d
+    | Hold (ds, d) -> Hold (List.map resource_of ds, d)
+  in
+  List.iter
+    (fun job ->
+       ignore (submit t ~priority:job.priority (List.map stage job.stages)))
+    jobs;
+  run t;
+  List.rev_map (fun job -> Time.seconds job.completion) t.jobs
+
+let schedule ?policy ~meters:m ~equal ~gauges jobs =
+  if contended equal jobs then begin
+    (match m.m_contended with Some c -> Metrics.incr c | None -> ());
+    run_jobs ?policy m ~equal ~gauges jobs
+  end
+  else if summable jobs then begin
+    (match mode_of m with
+     | Off -> ()
+     | (Held | Direct) as mode ->
+       count_run m ~jobs:(List.length jobs) ~events:(stage_count 0 jobs);
+       accrue_jobs mode equal gauges jobs);
+    List.map (fun job -> Time.seconds (summed_completion job.stages)) jobs
+  end
+  else run_jobs ?policy m ~equal ~gauges jobs

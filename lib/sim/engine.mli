@@ -16,7 +16,10 @@
     lower-priority one that got there first, exactly like the serialized
     recovery in the paper.
 
-    All jobs are submitted at time zero; the engine is single-shot. *)
+    All jobs are submitted at time zero; the engine is single-shot. A job
+    set given as data ({!schedule}) runs the event loop only when two of
+    its jobs hold one device; otherwise no job can wait, and each
+    completion time is its stage durations summed in order. *)
 
 module Time = Ds_units.Time
 module Obs = Ds_obs.Obs
@@ -42,13 +45,14 @@ val create : ?policy:policy -> ?obs:Obs.t -> unit -> t
 
 type meters
 (** Pre-resolved engine-wide instruments ([sim.runs], [sim.jobs],
-    [sim.events], [sim.queue_wait_s]). The recovery simulator creates one
-    single-shot engine per failure scenario; resolving the instruments by
-    name per engine dominated the metered path, so a caller evaluating
-    many scenarios against one [obs] resolves them once and hands them to
-    every {!create_with}. Queue waits that those engines record on the
-    domain that resolved the meters are held in them, without a lock,
-    until {!publish_meters}; engines on other domains observe directly. *)
+    [sim.events], [sim.contended], [sim.queue_wait_s]). The recovery
+    simulator schedules one single-shot job set per failure scenario;
+    resolving the instruments by name per run dominated the metered
+    path, so a caller evaluating many scenarios against one [obs]
+    resolves them once and hands them to every {!create_with} or
+    {!schedule}. Queue waits that those runs record on the domain that
+    resolved the meters are held in them, without a lock, until
+    {!publish_meters}; runs on other domains observe directly. *)
 
 val meters_of_obs : Obs.t -> meters
 (** Resolves against [obs]'s metrics registry (a no-op capability when
@@ -93,11 +97,14 @@ val resource : t -> string -> resource
 val resource_with : t -> gauges:device_gauges -> string -> resource
 (** Like {!resource} with pre-resolved gauges — no registry lookups. *)
 
-type stage =
+type 'd stage_of =
   | Delay of Time.t  (** Elapses unconditionally (repairs, couriers). *)
-  | Hold of resource list * Time.t
+  | Hold of 'd list * Time.t
       (** Exclusive use of all listed devices for the duration. An empty
           list behaves like {!Delay}. *)
+
+type stage = resource stage_of
+(** A stage of a submitted job: its holds name this engine's resources. *)
 
 val submit : t -> ?name:string -> priority:float -> stage list -> job_id
 (** Registers a job starting at time zero. Higher [priority] is served
@@ -117,3 +124,39 @@ val completion_time : t -> job_id -> Time.t
 
 val results : t -> (string * Time.t) list
 (** All jobs with completion times, in submission order. *)
+
+(** {2 Jobs given as data}
+
+    A caller that schedules many small single-shot job sets (the
+    recovery simulator: one per failure scenario) describes each set as
+    data, naming devices by its own keys, and lets {!schedule} decide
+    whether the event loop is needed at all. *)
+
+type 'd plan = {
+  priority : float;  (** As {!submit}'s. *)
+  stages : 'd stage_of list;  (** Holds name devices by the caller's keys. *)
+}
+
+val schedule :
+  ?policy:policy ->
+  meters:meters ->
+  equal:('d -> 'd -> bool) ->
+  gauges:('d -> device_gauges) ->
+  'd plan list ->
+  Time.t list
+(** Completion times of the plans, in order, exactly as {!run} computes
+    them on an engine created with [policy] and [meters], holding one
+    resource per device (devices are the same when [equal]), with each
+    plan {!submit}ted in order; metered exactly as that run meters.
+
+    When no device is held by two plans, no job can ever wait: each one
+    advances exactly at its own wake time. If also every priority is a
+    number and every plan's durations sum to a finite time, no engine is
+    built: each completion time is the left fold of the plan's durations
+    from zero, the same float additions {!run}'s clock makes, and the
+    run is counted in [sim.runs], [sim.jobs] and [sim.events] and each
+    held device's busy seconds are recorded as {!run} records them.
+    Otherwise an engine runs the plans (raising as {!submit} does); when
+    that is because two plans hold one device, [sim.contended] counts
+    the run. [gauges] resolves a device's gauges, and is called only
+    when [meters] carry a registry. *)

@@ -59,11 +59,16 @@ let create_cache ?(size = 1024) () : cache = Memo.create ~capacity:size ()
    part of the key.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let scope_fingerprint = function
-  | All_apps -> "A"
-  | Skip -> "S"
+let add_scope buf = function
+  | All_apps -> Buffer.add_char buf 'A'
+  | Skip -> Buffer.add_char buf 'S'
   | Only ids ->
-    "O" ^ String.concat "," (List.map string_of_int (List.sort Int.compare ids))
+    Buffer.add_char buf 'O';
+    List.iteri
+      (fun i id ->
+         if i > 0 then Buffer.add_char buf ',';
+         Buffer.add_string buf (string_of_int id))
+      (List.sort Int.compare ids)
 
 let recovery_fingerprint (r : Ds_recovery.Recovery_params.t) =
   Printf.sprintf "r{%h;%h;%h;%h;%h;%h;%h;%h;%h;%s;%s}"
@@ -83,40 +88,67 @@ let recovery_fingerprint (r : Ds_recovery.Recovery_params.t) =
 let time_menu menu =
   String.concat "," (List.map (fun t -> Printf.sprintf "%h" (Time.to_seconds t)) menu)
 
-let options_fingerprint o =
-  Printf.sprintf "o{%s|%s|%s|%s|%d|%s}"
-    (scope_fingerprint o.window_scope)
+(* Every field but the scope. It ends at its first "}}" (only the
+   recovery fields, rendered last, are braced), so the scope appended
+   after it keeps the whole key injective. *)
+let unscoped_fingerprint o =
+  Printf.sprintf "o{%s|%s|%s|%d|%s}"
     (time_menu o.snapshot_menu) (time_menu o.tape_menu)
     (String.concat "," (List.map string_of_int o.fulls_menu))
     o.max_growth_steps
     (recovery_fingerprint o.recovery)
 
+let options_fingerprint o =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (unscoped_fingerprint o);
+  add_scope buf o.window_scope;
+  Buffer.contents buf
+
 (* A refit run probes the memo thousands of times with the same options
    and likelihood values; only the design part of the key varies. Both
-   small fingerprints are cached under physical equality (an Atomic slot,
-   racing solver domains at worst recompute an identical string). *)
-let options_fp_slot : (options * string) option Atomic.t = Atomic.make None
+   small fingerprints are cached in an Atomic slot (racing solver
+   domains at worst recompute an identical string). The likelihood's is
+   keyed by physical equality. The options' scope-free part is keyed by
+   the physical equality of the fields it encodes: each placement scopes
+   the solver's options to its own app ([Reconfigure]), a fresh record
+   sharing every other field. *)
+let unscoped_fp_slot : (options * string) option Atomic.t = Atomic.make None
 let likelihood_fp_slot : (Likelihood.t * string) option Atomic.t =
   Atomic.make None
 
-let cached_fp slot v compute =
-  match Atomic.get slot with
-  | Some (v', fp) when v' == v -> fp
+let same_unscoped a b =
+  a.snapshot_menu == b.snapshot_menu
+  && a.tape_menu == b.tape_menu
+  && a.fulls_menu == b.fulls_menu
+  && a.max_growth_steps = b.max_growth_steps
+  && a.recovery == b.recovery
+
+let cached_unscoped_fp o =
+  match Atomic.get unscoped_fp_slot with
+  | Some (o', fp) when same_unscoped o' o -> fp
   | _ ->
-    let fp = compute v in
-    Atomic.set slot (Some (v, fp));
+    let fp = unscoped_fingerprint o in
+    Atomic.set unscoped_fp_slot (Some (o, fp));
     fp
 
+let cached_likelihood_fp l =
+  match Atomic.get likelihood_fp_slot with
+  | Some (l', fp) when l' == l -> fp
+  | _ ->
+    let fp = Likelihood.fingerprint l in
+    Atomic.set likelihood_fp_slot (Some (l, fp));
+    fp
+
+(* [options_fingerprint], then the likelihood's, then the design's. *)
 let cache_key ~options design likelihood =
-  let options_fp = cached_fp options_fp_slot options options_fingerprint in
-  let likelihood_fp =
-    cached_fp likelihood_fp_slot likelihood Likelihood.fingerprint
-  in
+  let unscoped_fp = cached_unscoped_fp options in
+  let likelihood_fp = cached_likelihood_fp likelihood in
   let buf =
     Buffer.create
-      (String.length options_fp + String.length likelihood_fp + 256)
+      (String.length unscoped_fp + String.length likelihood_fp + 256)
   in
-  Buffer.add_string buf options_fp;
+  Buffer.add_string buf unscoped_fp;
+  add_scope buf options.window_scope;
   Buffer.add_char buf '#';
   Buffer.add_string buf likelihood_fp;
   Buffer.add_char buf '#';
@@ -149,10 +181,12 @@ let with_stage obs name trials f =
 (* Coordinate-descent over the window menus, one app at a time in
    descending penalty order; each combination is evaluated against the
    full candidate (Section 3.2: exhaustive search over the discretized
-   ranges). Every trial of an app is built from the app-entry design and
-   costed from the app-entry evaluation, re-simulating only the
-   scenarios the app's new windows can change; the running best is kept
-   by strict [<], so the lowest combo index wins a tie. *)
+   ranges). Every trial of an app is built from the app-entry design,
+   provisioned from the app-entry provisioning by re-sizing only the
+   app's own devices ([Provision.rewindow], equal to [Provision.minimum]
+   of the trial), and costed from the app-entry evaluation, re-simulating
+   only the scenarios the app's new windows can change; the running best
+   is kept by strict [<], so the lowest combo index wins a tie. *)
 let optimize_windows ~options ~obs ~footprints ~batch design current_eval =
   let scope_ids =
     match options.window_scope with
@@ -196,7 +230,9 @@ let optimize_windows ~options ~obs ~footprints ~batch design current_eval =
               (match trials_c with
                | Some c -> Obs.Metrics.incr c
                | None -> ());
-              (match Provision.minimum trial with
+              (match
+                 Provision.rewindow eval.Evaluate.provision trial asg.app.App.id
+               with
                | Error _ -> best
                | Ok prov ->
                  let trial_eval =

@@ -76,7 +76,8 @@ val solve :
     growth move is then costed with {!Ds_cost.Evaluate.update} from the
     evaluation it starts from, simulating again only the failure
     scenarios the move can change — bit-identical to a from-scratch
-    evaluation (DESIGN.md §17).
+    evaluation (DESIGN.md §17). A window trial is provisioned with
+    {!Provision.rewindow}, re-sizing only its app's devices.
 
     Window trials and growth moves run as loops on the calling domain,
     in menu and move order; each stage keeps its cheapest trial by

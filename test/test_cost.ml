@@ -299,6 +299,87 @@ let check_windows name design =
           (D.assignments design)));
   !checked
 
+(* [Provision.rewindow] against its oracle [Provision.minimum], on the
+   same window trials: unit maps equal, demand entries equal bit for
+   bit, the same constraint named when a trial is infeasible. Window
+   trials never move a chain's backup window, hence its drive and link
+   bandwidth; each combination is also tried with the window cut to a
+   quarter, so the library's drives and a remote library's link are
+   re-sized too. Returns (trials checked, infeasible among them). *)
+module Slot = Resources.Slot
+module Demand = Design.Demand
+
+let same_provision (a : Provision.t) (b : Provision.t) =
+  let size x = Int64.bits_of_float (Size.to_bytes x) in
+  let rate x = Int64.bits_of_float (Rate.to_bytes_per_sec x) in
+  let da = a.Provision.demand and db = b.Provision.demand in
+  Slot.Array_slot.Map.equal Int.equal a.Provision.array_units b.Provision.array_units
+  && Slot.Tape_slot.Map.equal Int.equal a.Provision.tape_drives b.Provision.tape_drives
+  && Slot.Tape_slot.Map.equal Int.equal a.Provision.tape_cartridges
+       b.Provision.tape_cartridges
+  && Slot.Pair.Map.equal Int.equal a.Provision.link_units b.Provision.link_units
+  && Resources.Site.Id_map.equal Int.equal a.Provision.compute b.Provision.compute
+  && Slot.Array_slot.Map.equal
+       (fun (x : Demand.array_use) (y : Demand.array_use) ->
+          size x.Demand.capacity = size y.Demand.capacity
+          && rate x.Demand.bandwidth = rate y.Demand.bandwidth)
+       da.Demand.arrays db.Demand.arrays
+  && Slot.Tape_slot.Map.equal
+       (fun (x : Demand.tape_use) (y : Demand.tape_use) ->
+          size x.Demand.tape_capacity = size y.Demand.tape_capacity
+          && rate x.Demand.tape_bandwidth = rate y.Demand.tape_bandwidth)
+       da.Demand.tapes db.Demand.tapes
+  && Slot.Pair.Map.equal (fun x y -> rate x = rate y) da.Demand.links db.Demand.links
+  && Resources.Site.Id_map.equal Int.equal da.Demand.compute db.Demand.compute
+  && D.equal a.Provision.design b.Provision.design
+
+let quarter_window design id =
+  match D.find design id with
+  | Some { Assignment.technique = { Technique.backup = Some c; _ } as t; _ } ->
+    let c = { c with Backup.backup_window = Time.scale 0.25 c.Backup.backup_window } in
+    D.swap_technique design id (Technique.with_backup_chain t c)
+  | _ -> None
+
+let check_rewindow name design =
+  let checked = ref 0 and infeasible = ref 0 in
+  (* One trial from [base]; its minimum provisioning when feasible. *)
+  let check base id trial =
+    incr checked;
+    match Provision.minimum trial, Provision.rewindow base trial id with
+    | Ok want, Ok got ->
+      if not (same_provision want got) then
+        Alcotest.failf "%s: app %d's trial re-sized differently" name id;
+      Some want
+    | Error want, Error got ->
+      incr infeasible;
+      if want <> got then
+        Alcotest.failf "%s: app %d's trial broke another constraint" name id;
+      None
+    | Ok _, Error _ | Error _, Ok _ ->
+      Alcotest.failf "%s: app %d's trial feasible one way only" name id
+  in
+  ignore
+    (List.fold_left
+       (fun (design, base) (asg : Assignment.t) ->
+          let id = asg.Assignment.app.App.id in
+          List.fold_left
+            (fun (design, base) combo ->
+               match with_windows design asg combo with
+               | None -> (design, base)
+               | Some trial ->
+                 Option.iter
+                   (fun quartered -> ignore (check base id quartered))
+                   (quarter_window trial id);
+                 (match check base id trial with
+                  | Some prov -> (trial, prov)
+                  | None -> (design, base)))
+            (design, base) window_combos)
+       (design, Fixtures.feasible (Provision.minimum design))
+       (List.filter
+          (fun (a : Assignment.t) -> Technique.has_backup a.Assignment.technique)
+          (D.assignments design)));
+  (!checked, !infeasible)
+
 (* Every growth move from [base], then every move from the first move's
    result — an incremental base, as in the solver's later rounds.
    [report moves i] is the move handed to [update] for [moves.(i)];
@@ -337,6 +418,17 @@ let incremental_tests =
              check_bool (name ^ ": some window trials") true
                (check_windows name c.Candidate.design > 0))
           (Lazy.force oracle_inputs));
+    Alcotest.test_case "window trials re-size as the minimum provisioning"
+      `Slow (fun () ->
+        let infeasible =
+          List.fold_left
+            (fun acc (name, (c : Candidate.t)) ->
+               let checked, infeasible = check_rewindow name c.Candidate.design in
+               check_bool (name ^ ": some window trials") true (checked > 0);
+               acc + infeasible)
+            0 (Lazy.force oracle_inputs)
+        in
+        check_bool "some trials infeasible" true (infeasible > 0));
     Alcotest.test_case "growth moves agree with a from-scratch evaluation"
       `Slow (fun () ->
         List.iter

@@ -1,5 +1,6 @@
 (* Tests for the discrete-event engine: delays, exclusive holds, priority
-   serialization, multi-resource grants, infinite stages. *)
+   serialization, multi-resource grants, infinite stages, and job sets
+   that [Engine.schedule] times without the event loop. *)
 
 open Dependable_storage.Units
 module Engine = Dependable_storage.Sim.Engine
@@ -225,4 +226,165 @@ let fuzz_tests =
                  finish >= own -. 1e-9 && finish <= total +. 1e-9)
               jobs)) ]
 
-let suites = [ ("sim.engine", engine_tests); ("sim.fuzz", fuzz_tests) ]
+(* [Engine.schedule] against its oracle, the event loop. A seeded
+   family of job sets: 1-6 jobs of Delay and Hold stages, holds drawn
+   from 1-5 devices (so some sets hold every device once and others
+   share one), a quarter of the durations zero and a few infinite.
+   Every set is timed both ways, each against a fresh registry:
+   completion times must agree bit for bit, and so must the engine's
+   counts, device seconds and queue waits. Sets that share no device
+   are the ones [schedule] sums without an engine. *)
+module Rng = Dependable_storage.Prng.Rng
+module Obs = Dependable_storage.Obs
+module Metrics = Obs.Metrics
+
+let random_set rng =
+  let devices = Rng.int_in rng 1 5 in
+  let duration () =
+    match Rng.int rng 40 with
+    | 0 -> Time.infinity
+    | n when n < 10 -> Time.zero
+    | _ -> Time.seconds (Rng.float rng 1e5)
+  in
+  let stage () =
+    if Rng.bool rng then Engine.Delay (duration ())
+    else
+      let held = List.init (Rng.int_in rng 1 3) (fun _ -> Rng.int rng devices) in
+      Engine.Hold (held, duration ())
+  in
+  let plan () =
+    { Engine.priority = float_of_int (Rng.int rng 3);
+      stages = List.init (Rng.int rng 5) (fun _ -> stage ()) }
+  in
+  let policy =
+    match Rng.int rng 3 with
+    | 0 -> Engine.Priority
+    | 1 -> Engine.Fifo
+    | _ -> Engine.Smallest_first
+  in
+  (policy, devices, List.init (Rng.int_in rng 1 6) (fun _ -> plan ()))
+
+let held_devices (p : int Engine.plan) =
+  List.concat_map
+    (function Engine.Delay _ -> [] | Engine.Hold (ds, _) -> ds)
+    p.Engine.stages
+
+(* Two plans hold one device: the test's own reading of contention. *)
+let shares plans =
+  let rec go = function
+    | [] -> false
+    | p :: rest ->
+      List.exists
+        (fun d -> List.exists (fun q -> List.mem d (held_devices q)) rest)
+        (held_devices p)
+      || go rest
+  in
+  go plans
+
+let device_name i = Printf.sprintf "d%d" i
+
+(* The reference: one engine, one resource per device, published as it
+   goes. *)
+let engine_times policy devices plans =
+  let obs = Obs.create ~metrics:true () in
+  let e = Engine.create ~policy ~obs () in
+  let resources = Array.init devices (fun i -> Engine.resource e (device_name i)) in
+  let ids =
+    List.map
+      (fun (p : int Engine.plan) ->
+         Engine.submit e ~priority:p.Engine.priority
+           (List.map
+              (function
+                | Engine.Delay d -> Engine.Delay d
+                | Engine.Hold (ds, d) ->
+                  Engine.Hold (List.map (Array.get resources) ds, d))
+              p.Engine.stages))
+      plans
+  in
+  (List.map (Engine.completion_time e) ids, Option.get (Obs.metrics obs))
+
+(* [schedule] as the recovery simulator calls it: meters resolved once,
+   device seconds held in cells, published when the batch ends. *)
+let scheduled_times policy devices plans =
+  let obs = Obs.create ~metrics:true () in
+  let meters = Engine.meters_of_obs obs in
+  let gauges =
+    Array.init devices (fun i ->
+        Engine.held_gauges (Engine.device_gauges obs (device_name i)))
+  in
+  let times =
+    Engine.schedule ~policy ~meters ~equal:Int.equal ~gauges:(Array.get gauges)
+      plans
+  in
+  Engine.publish_meters meters;
+  Array.iter Engine.publish_gauges gauges;
+  (times, Option.get (Obs.metrics obs))
+
+let bits t = Int64.bits_of_float (Time.to_seconds t)
+
+(* Everything the engine meters, as exact values: counts, and gauge and
+   histogram sums by their bits. *)
+let engine_readings devices reg =
+  let count name = Int64.of_int (Metrics.count (Metrics.counter reg name)) in
+  let gauge name = Int64.bits_of_float (Metrics.value (Metrics.gauge reg name)) in
+  let waits = Metrics.histogram reg "sim.queue_wait_s" in
+  [ ("sim.runs", count "sim.runs"); ("sim.jobs", count "sim.jobs");
+    ("sim.events", count "sim.events");
+    ("waits", Int64.of_int (Metrics.observations waits));
+    ("wait total", Int64.bits_of_float (Metrics.total waits)) ]
+  @ List.concat
+      (List.init devices (fun i ->
+           [ ("busy " ^ device_name i, gauge ("sim.busy_s." ^ device_name i));
+             ("wait " ^ device_name i, gauge ("sim.wait_s." ^ device_name i)) ]))
+
+let schedule_tests =
+  [ Alcotest.test_case "schedule matches the engine on 10,000 seeded job sets"
+      `Quick (fun () ->
+        let rng = Rng.of_int 19 in
+        let summed = ref 0 and shared = ref 0 and blocked = ref 0 in
+        for set = 1 to 10_000 do
+          let policy, devices, plans = random_set rng in
+          let expected, ref_reg = engine_times policy devices plans in
+          let got, reg = scheduled_times policy devices plans in
+          let fail what = Alcotest.failf "set %d: %s disagree with the engine" set what in
+          if List.map bits got <> List.map bits expected then fail "completion times";
+          List.iter2
+            (fun (name, want) (_, have) -> if want <> have then fail name)
+            (engine_readings devices ref_reg) (engine_readings devices reg);
+          let contended = Metrics.count (Metrics.counter reg "sim.contended") in
+          if shares plans then begin
+            incr shared;
+            if contended <> 1 then fail "sim.contended";
+            if Metrics.observations (Metrics.histogram reg "sim.queue_wait_s") > 0
+            then incr blocked
+          end
+          else begin
+            incr summed;
+            if contended <> 0 then fail "sim.contended"
+          end
+        done;
+        (* Both kinds of set, and real waiting among the shared ones. *)
+        check_bool (Printf.sprintf "%d disjoint sets" !summed) true (!summed >= 2_000);
+        check_bool (Printf.sprintf "%d shared sets" !shared) true (!shared >= 2_000);
+        check_bool (Printf.sprintf "%d sets with a wait" !blocked) true
+          (!blocked >= 1_000));
+    Alcotest.test_case "schedule rejects NaN as submit does" `Quick (fun () ->
+        let meters = Engine.meters_of_obs Obs.noop in
+        let schedule plans =
+          ignore
+            (Engine.schedule ~meters ~equal:Int.equal
+               ~gauges:(fun _ -> Engine.no_gauges) plans)
+        in
+        Alcotest.check_raises "priority"
+          (Invalid_argument "Engine.submit: NaN priority") (fun () ->
+              schedule [ { Engine.priority = Float.nan; stages = [] } ]);
+        (* Zero times forever: the one NaN a [Time.t] can hold. *)
+        let nan = Time.scale 0. Time.infinity in
+        Alcotest.check_raises "duration"
+          (Invalid_argument "Engine: NaN duration") (fun () ->
+              schedule
+                [ { Engine.priority = 1.; stages = [ Engine.Hold ([ 0 ], nan) ] } ])) ]
+
+let suites =
+  [ ("sim.engine", engine_tests); ("sim.fuzz", fuzz_tests);
+    ("sim.schedule", schedule_tests) ]

@@ -698,7 +698,9 @@ let fingerprint_tests =
 (* Fixed-seed pins: figures recorded before window and growth trials
    became incremental, so the design, its cost and the search work may
    not move; only the split of scenario outcomes between simulated and
-   reused may. Pinned at one domain: [Memo] computes outside its lock,
+   reused may. The device seconds and the 16-app pins were recorded
+   before uncontended scenarios were summed instead of run through the
+   event loop. Pinned at one domain: [Memo] computes outside its lock,
    so a wider pool can race two misses into one extra config solve. *)
 (* ------------------------------------------------------------------ *)
 
@@ -769,9 +771,36 @@ let pin_tests =
             ("recovery.scenarios", 40_109); ("recovery.reused", 54_445);
             ("recovery.affected", 92_527); ("recovery.unrecoverable", 600);
             ("sim.runs", 40_109); ("sim.jobs", 92_527);
-            ("sim.events", 216_068); ("solver.evaluations", 743);
-            ("solver.probes", 12); ("solver.probe_steps", 36);
-            ("solver.probe_improved", 12) ];
+            ("sim.events", 216_068); ("sim.contended", 1_675);
+            ("solver.evaluations", 743); ("solver.probes", 12);
+            ("solver.probe_steps", 36); ("solver.probe_improved", 12) ];
+        (* Device seconds, recorded when every scenario ran the event
+           loop: uncontended scenarios are summed now and must meter the
+           same busy seconds, bit for bit; only contended ones wait. *)
+        let hex v = Printf.sprintf "%h" v in
+        let check_gauge name expected =
+          Alcotest.(check string) name expected
+            (hex (Obs.Metrics.value (Obs.Metrics.gauge reg name)))
+        in
+        List.iter
+          (fun (device, busy, wait) ->
+             check_gauge ("sim.busy_s." ^ device) busy;
+             check_gauge ("sim.wait_s." ^ device) wait)
+          [ ("s1/bay0", "0x1.3386934d62b6ap+29", "0x1.04ddfc58e357fp+26");
+            ("s1/bay1", "0x1.8d8d57p+22", "0x0p+0");
+            ("s1<->s2", "0x1.7d4ad7p+22", "0x0p+0");
+            ("s1<->s4", "0x1.ff0e84eb9587cp+28", "0x1.e107a8b1c6afep+25");
+            ("s2/bay0", "0x1.bae2e8p+18", "0x0p+0");
+            ("s2/bay1", "0x1.c9283ap+22", "0x0p+0");
+            ("s3/bay0", "0x1.1c81092492492p+20", "0x0p+0");
+            ("s3<->s4", "0x1.1033092492492p+20", "0x0p+0");
+            ("s4/bay0", "0x1.1033092492492p+19", "0x0p+0");
+            ("s4/bay1", "0x1.48ec21cc8baebp+29", "0x1.1d4c55836a30ep+26");
+            ("s4/tape", "0x1.8b30f72c234f4p+18", "0x1.543f895436c6ap+23") ];
+        let waits = Obs.Metrics.histogram reg "sim.queue_wait_s" in
+        check_int "sim.queue_wait_s count" 1_675 (Obs.Metrics.observations waits);
+        Alcotest.(check string) "sim.queue_wait_s sum" "0x1.31a67d836a30dp+26"
+          (hex (Obs.Metrics.total waits));
         let devices =
           [ "s1/bay0"; "s1/bay1"; "s1<->s2"; "s1<->s4"; "s2/bay0"; "s2/bay1";
             "s3/bay0"; "s3<->s4"; "s4/bay0"; "s4/bay1"; "s4/tape" ]
@@ -789,12 +818,48 @@ let pin_tests =
                 "memo.lock_acquisitions"; "memo.lock_contended";
                 "memo.lock_wait_s"; "memo.lock_wait_total_s";
                 "recovery.affected"; "recovery.reused"; "recovery.scenarios";
-                "recovery.unrecoverable"; "sim.events"; "sim.jobs";
-                "sim.queue_wait_s"; "sim.runs"; "solver.evaluations";
+                "recovery.unrecoverable"; "sim.contended"; "sim.events";
+                "sim.jobs"; "sim.queue_wait_s"; "sim.runs"; "solver.evaluations";
                 "solver.probe_improved"; "solver.probe_steps"; "solver.probes" ]
               @ List.map (fun d -> "sim.busy_s." ^ d) devices
               @ List.map (fun d -> "sim.wait_s." ^ d) devices))
-          (Obs.Metrics.names reg)) ]
+          (Obs.Metrics.names reg));
+    Alcotest.test_case "quad, 16 apps, quick, seed 5 keeps its pins" `Slow
+      (fun () ->
+        (* A larger shape where 7.7% of the simulated scenarios contend
+           for a device, so the event loop and the summed closed form
+           both carry real weight. Recorded when every scenario ran the
+           event loop. *)
+        let module R = Experiments.Request in
+        let ok = function
+          | Ok v -> v
+          | Error e -> Alcotest.fail (R.error_message e)
+        in
+        let env, apps = ok (R.instance ~apps:16 "quad") in
+        let budget = ok (R.budget ~domains:1 ~seed:5 "quick") in
+        let obs = Obs.create ~metrics:true () in
+        let best =
+          R.best
+            (ok
+               (R.run_solve ~obs
+                  { R.env; apps; likelihood; budget; deadline_s = None }))
+        in
+        let reg = Option.get (Obs.metrics obs) in
+        Alcotest.(check string) "design digest"
+          "edf95e96b6eed5c7499a5c0d55f9fcdb"
+          (Digest.to_hex
+             (Digest.string (Design.Design_io.to_string best.Candidate.design)));
+        Alcotest.(check string) "cost" "0x1.f627f6c79563ep+26"
+          (Printf.sprintf "%h" (Money.to_dollars (Candidate.cost best)));
+        List.iter
+          (fun (name, expected) ->
+             check_int name expected
+               (Obs.Metrics.count (Obs.Metrics.counter reg name)))
+          [ ("solver.evaluations", 834); ("recovery.scenarios", 139_938);
+            ("recovery.reused", 386_824); ("recovery.affected", 381_148);
+            ("recovery.unrecoverable", 1_213); ("sim.runs", 139_938);
+            ("sim.jobs", 381_148); ("sim.events", 894_848);
+            ("sim.contended", 10_831) ]) ]
 
 let suites =
   [ ("solver.layout", layout_tests);
